@@ -7,23 +7,18 @@
 //!
 //! Usage: `cargo run -p malnet-bench --release --bin ablations -- [--samples N]`
 
-use malnet_bench::parse_args;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
+use malnet_bench::{parse_args, world};
+use malnet_core::pipeline::probe_weapons;
 use malnet_core::prober::{run_probing, ProbeConfig};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_intel::engines::EngineModel;
-use malnet_protocols::Family;
 
 fn main() {
     let mut opts = parse_args();
     if opts.samples == 1447 {
         opts.samples = 120; // ablations sweep many runs; keep each small
     }
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
+    let world = world(&opts);
 
     println!("== Ablation 1: handshaker threshold (paper: 20) ==");
     println!(
@@ -32,6 +27,7 @@ fn main() {
     );
     for threshold in [1usize, 5, 20, 60, 200] {
         let p = PipelineOpts {
+            seed: opts.seed,
             handshaker_threshold: threshold,
             max_samples: Some(opts.samples),
             run_probing: false,
@@ -55,6 +51,7 @@ fn main() {
     );
     for pps in [10u64, 50, 100, 300, 1000] {
         let p = PipelineOpts {
+            seed: opts.seed,
             pps_threshold: pps,
             max_samples: Some(opts.samples),
             run_probing: false,
@@ -79,18 +76,7 @@ fn main() {
     );
 
     println!("\n== Ablation 3: probe cadence (paper: 6/day = 4 h) ==");
-    let weapons: Vec<Vec<u8>> = [Family::Mirai, Family::Gafgyt]
-        .iter()
-        .filter_map(|f| {
-            world
-                .samples
-                .iter()
-                .find(|s| {
-                    s.family == *f && !s.corrupted && s.spec.exploits.is_empty() && !s.spec.evasive
-                })
-                .map(|s| s.elf.clone())
-        })
-        .collect();
+    let weapons = probe_weapons(&world);
     println!(
         "{:>12} {:>8} {:>10} {:>16}",
         "probes/day", "servers", "responses", "resp/probe-day"

@@ -12,8 +12,7 @@
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_args;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
+use malnet_bench::{parse_args, world, write_artifact};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_telemetry::{json, Telemetry};
@@ -86,11 +85,7 @@ fn main() {
     if opts.samples == 1447 {
         opts.samples = 48; // CI-sized corpus; still hits every stage
     }
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
+    let world = world(&opts);
     // Stream the chaos run's lifecycle (quarantine and chaos events
     // included) so CI can validate a fault-heavy event stream too.
     let events_path = std::path::Path::new("results/events_chaos.jsonl");
@@ -169,11 +164,7 @@ fn main() {
     out.push_str("}}");
 
     let path = std::path::Path::new("results/health_report.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write health report");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
+    write_artifact(path, &out);
 
     // --- verification: re-read from disk, parse, check degradation ---
     let reread = std::fs::read_to_string(path).expect("re-read health report");

@@ -26,8 +26,8 @@
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_args;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
+use malnet_bench::{parse_args, world, write_artifact};
+use malnet_botgen::world::World;
 use malnet_core::chaos::FaultPlan;
 use malnet_core::datasets::HealthKind;
 use malnet_core::eval::{c2_lifetime_error, evaluate};
@@ -100,11 +100,7 @@ fn main() {
     let fault_seeds = [first_seed, first_seed.wrapping_add(SEED_STRIDE)];
     let intensities: Vec<f64> = INTENSITY_MILLE.iter().map(|&m| m as f64 / 1000.0).collect();
 
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
+    let world = world(&opts);
 
     // --- the chaos-free baseline every zero cell must reproduce ---
     let baseline = run_cell(&world, opts.seed, opts.samples, FaultPlan::none());
@@ -281,11 +277,7 @@ fn main() {
     }
     out.push_str("]}");
     let path = std::path::Path::new("results/chaos_sweep.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write chaos sweep artifact");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
+    write_artifact(path, &out);
 
     // --- self-validation: artifact ---
     let reread = std::fs::read_to_string(path).expect("re-read chaos sweep artifact");

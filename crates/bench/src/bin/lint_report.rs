@@ -10,8 +10,7 @@
 //! exits non-zero listing every violation.
 //!
 //! Usage: `cargo run -p malnet-bench --bin lint_report` from the
-//! workspace root. The older `source_lint` bin is a thin alias that
-//! runs the same rules without writing the artifact.
+//! workspace root.
 
 use std::path::Path;
 
@@ -28,10 +27,7 @@ fn main() {
 
     let json = lint.to_json();
     let out_path = Path::new("results/lint_report.json");
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).expect("create results/");
-    }
-    std::fs::write(out_path, &json).expect("write lint report");
+    malnet_bench::write_artifact(out_path, &json);
 
     // Self-validate the artifact: re-read, parse, and check that the
     // written report says exactly what this process observed. A report
@@ -88,8 +84,13 @@ fn main() {
         eprintln!("FAIL: {f}");
     }
     eprintln!(
-        "{} violation(s); see {} and DESIGN.md §static analysis for the rule \
-         catalog and the `lint: <rule>-ok` suppression grammar.",
+        "{} violation(s). Clocks belong in crates/telemetry (use Telemetry::stopwatch \
+         elsewhere); hash collections that are iterated need a BTree collection or a \
+         justified `lint: hash-ok` / `hash-iter-ok`; panic family sites in core/wire \
+         production code need typed errors / quarantine or `lint: panic-ok`; RNGs \
+         outside crates/prng must derive from a SeedStream domain. See {} and \
+         DESIGN.md §static analysis for the rule catalog and the `lint: <rule>-ok` \
+         suppression grammar.",
         lint.findings.len(),
         out_path.display()
     );

@@ -1,16 +1,14 @@
-//! Parallelism sweep for the pipeline's two fan-out stages.
+//! Parallelism sweep for the pipeline's fan-out stages.
 //!
-//! Times `run_contained_batch` — the phase-A fan-out behind
-//! `PipelineOpts::parallelism` — over one fixed batch at several worker
-//! counts, then times the full pipeline (phase A + parallel phase B +
-//! D-PC2 probing) at the same settings. Because every fan-out merges
-//! back in canonical order, the outputs are byte-identical at every N;
-//! the sweep quantifies the wall-clock side of that trade **and
-//! enforces the byte side**: each parallel run's datasets and vendor
-//! state are diffed against the sequential baseline, and any divergence
-//! exits non-zero (the CI gate).
+//! Times the full pipeline (phase A + parallel phase B + D-PC2 probing)
+//! at several `PipelineOpts::parallelism` worker counts. Because every
+//! fan-out merges back in canonical order, the outputs are
+//! byte-identical at every N; the sweep quantifies the wall-clock side
+//! of that trade **and enforces the byte side**: each parallel run's
+//! datasets and vendor state are diffed against the sequential
+//! baseline, and any divergence exits non-zero (the CI gate).
 //!
-//! A third sweep exercises the day-epoch axis (`PipelineOpts::
+//! A second sweep exercises the day-epoch axis (`PipelineOpts::
 //! day_shards`): the study's day range is partitioned into contiguous
 //! epochs that run as independent units and merge through the canonical
 //! reduce, so every `day_shards × parallelism` cell must also be
@@ -18,8 +16,8 @@
 //! `divergent_day_shards` and fail the run the same way.
 //!
 //! Besides the stdout tables, the sweep writes a machine-readable
-//! artifact to `results/par_sweep.json` (`malnet.par_sweep` v3): all
-//! three sweeps, a per-N phase-A/phase-B/probing wall-time breakdown,
+//! artifact to `results/par_sweep.json` (`malnet.par_sweep` v4): both
+//! sweeps, a per-N phase-A/phase-B/probing wall-time breakdown,
 //! both divergence verdicts, plus the full telemetry
 //! [`RunReport`](malnet_telemetry::RunReport) of the final instrumented
 //! pipeline run. EXPERIMENTS.md documents the format.
@@ -30,14 +28,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use malnet_bench::parse_args;
 use malnet_bench::timing::fmt_duration;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
-use malnet_core::pipeline::run_contained_batch;
+use malnet_bench::{parse_args, world, write_artifact};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_telemetry::Telemetry;
 
-/// Worker counts the stage and end-to-end sweeps measure.
+/// Worker counts the end-to-end sweep measures.
 const SWEEP_N: [usize; 4] = [1, 2, 4, 8];
 
 /// `(day_shards, parallelism)` cells of the epoch sweep. `(1, 1)` is
@@ -67,47 +63,12 @@ fn main() {
     if opts.samples == 1447 {
         opts.samples = 96; // the sweep runs every batch several times
     }
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
-    let batch: Vec<usize> = (0..world.samples.len()).collect();
+    let world = world(&opts);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "contained-activation sweep: {} samples, seed {}, {} cores visible",
+        "parallelism sweep: {} samples, seed {}, {} cores visible",
         opts.samples, opts.seed, cores
     );
-
-    println!("\n== stage in isolation: run_contained_batch over one day's batch ==");
-    println!(
-        "{:>4} {:>14} {:>10} {:>16}",
-        "N", "wall", "speedup", "samples/sec"
-    );
-    let tel_off = Telemetry::disabled();
-    let mut stage_rows: Vec<(usize, u64)> = Vec::new();
-    let mut baseline = None;
-    for n in SWEEP_N {
-        let popts = PipelineOpts {
-            seed: opts.seed,
-            parallelism: n,
-            ..PipelineOpts::fast()
-        };
-        // One warm-up pass, then the timed pass.
-        let _ = run_contained_batch(&world, &popts, 0, &batch, &tel_off);
-        let t0 = Instant::now();
-        let outcomes = run_contained_batch(&world, &popts, 0, &batch, &tel_off);
-        let wall = t0.elapsed();
-        assert_eq!(outcomes.len(), batch.len());
-        let base = *baseline.get_or_insert(wall);
-        println!(
-            "{n:>4} {:>14} {:>9.2}x {:>16.1}",
-            fmt_duration(wall),
-            base.as_secs_f64() / wall.as_secs_f64(),
-            batch.len() as f64 / wall.as_secs_f64(),
-        );
-        stage_rows.push((n, wall.as_micros() as u64));
-    }
 
     println!("\n== end to end: Pipeline::run (phase A + phase B + probing) ==");
     println!(
@@ -237,21 +198,14 @@ fn main() {
     let json = sweep_json(
         opts.samples,
         opts.seed,
-        &stage_rows,
         &pipeline_rows,
         &shard_rows,
         &divergent,
         &divergent_day_shards,
         &report,
     );
-    let path = std::path::Path::new("results/par_sweep.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {} ({} bytes)", path.display(), json.len()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
-    }
+    println!();
+    write_artifact(std::path::Path::new("results/par_sweep.json"), &json);
     if divergent.is_empty() && divergent_day_shards.is_empty() {
         println!("byte check: all parallel and epoch-sharded runs match the sequential baseline");
     } else {
@@ -270,12 +224,10 @@ fn main() {
     }
 }
 
-/// Assemble the `malnet.par_sweep` v3 artifact (see EXPERIMENTS.md).
-#[allow(clippy::too_many_arguments)]
+/// Assemble the `malnet.par_sweep` v4 artifact (see EXPERIMENTS.md).
 fn sweep_json(
     samples: usize,
     seed: u64,
-    stage: &[(usize, u64)],
     pipeline: &[PipelineRow],
     shards: &[ShardRow],
     divergent: &[usize],
@@ -283,16 +235,9 @@ fn sweep_json(
     report: &malnet_telemetry::RunReport,
 ) -> String {
     let mut out = String::new();
-    out.push_str("{\"schema\":\"malnet.par_sweep\",\"version\":3,");
+    out.push_str("{\"schema\":\"malnet.par_sweep\",\"version\":4,");
     let _ = write!(out, "\"samples\":{samples},\"seed\":{seed},");
-    out.push_str("\"stage_sweep\":[");
-    for (i, (n, wall_us)) in stage.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"parallelism\":{n},\"wall_us\":{wall_us}}}");
-    }
-    out.push_str("],\"pipeline_sweep\":[");
+    out.push_str("\"pipeline_sweep\":[");
     for (i, row) in pipeline.iter().enumerate() {
         if i > 0 {
             out.push(',');

@@ -13,8 +13,7 @@
 //! Usage:
 //! `cargo run -p malnet-bench --release --bin run_report -- [--samples N] [--seed S]`
 
-use malnet_bench::parse_args;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
+use malnet_bench::{parse_args, world, write_artifact};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_telemetry::{json, trace, EventSink, RunReport, Telemetry};
 
@@ -92,11 +91,7 @@ fn main() {
     if opts.samples == 1447 {
         opts.samples = 48; // CI-sized corpus; still hits every stage
     }
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
+    let world = world(&opts);
     let events_path = std::path::Path::new("results/events.jsonl");
     let sink = EventSink::create(events_path).expect("create event stream");
     let tel = Telemetry::enabled_with_events(sink);
@@ -118,20 +113,11 @@ fn main() {
     let report = tel.report();
     let json_text = report.to_json();
     let path = std::path::Path::new("results/run_report.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &json_text).expect("write run report");
-    println!("wrote {} ({} bytes)", path.display(), json_text.len());
+    write_artifact(path, &json_text);
     println!("wrote {} (live event stream)", events_path.display());
-
-    let trace_path = std::path::Path::new("results/trace.json");
-    let trace_text = trace::chrome_trace(&report);
-    std::fs::write(trace_path, &trace_text).expect("write trace export");
-    println!(
-        "wrote {} ({} bytes)",
-        trace_path.display(),
-        trace_text.len()
+    write_artifact(
+        std::path::Path::new("results/trace.json"),
+        &trace::chrome_trace(&report),
     );
 
     // --- verification: re-read from disk, parse, check stage coverage ---

@@ -13,8 +13,7 @@
 //! Usage:
 //! `cargo run -p malnet-bench --release --bin static_xval -- [--samples N] [--seed S]`
 
-use malnet_bench::parse_args;
-use malnet_botgen::world::{Calibration, World, WorldConfig};
+use malnet_bench::{parse_args, world, write_artifact};
 use malnet_core::eval::{static_cross_validation, XvalScore};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_telemetry::json;
@@ -46,11 +45,7 @@ fn main() {
     if opts.samples == 1447 {
         opts.samples = 48; // CI-sized corpus; still hits every family
     }
-    let world = World::generate(WorldConfig {
-        seed: opts.seed,
-        n_samples: opts.samples,
-        cal: Calibration::default(),
-    });
+    let world = world(&opts);
     let popts = PipelineOpts {
         seed: opts.seed,
         parallelism: 2,
@@ -88,11 +83,7 @@ fn main() {
     out.push('}');
 
     let path = std::path::Path::new("results/static_report.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write static report");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
+    write_artifact(path, &out);
 
     // --- verification: re-read, parse, enforce the recall bar ---
     let reread = std::fs::read_to_string(path).expect("re-read static report");

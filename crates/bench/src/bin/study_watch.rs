@@ -10,7 +10,7 @@
 //! * **`--follow`**: tail the file, re-rendering as new complete lines
 //!   arrive, until the stream's `stream_end` line lands (the one place
 //!   in the workspace that legitimately sleeps on a wall clock; the
-//!   bench crate is `source_lint`'s clock-exempt zone). The tail is
+//!   bench crate is `lint_report`'s clock-exempt zone). The tail is
 //!   **stateful** ([`StreamTail`]): each tick reads only the bytes
 //!   appended since the last one and folds them incrementally, so a
 //!   long study costs O(stream) total instead of the old

@@ -413,31 +413,60 @@ pub fn evaluation(world: &World, data: &Datasets) -> String {
     )
 }
 
-/// Everything, in paper order.
-pub fn all(world: &World, data: &Datasets, vendors: &VendorDb, late_day: u32) -> String {
-    let mut out = String::new();
-    for part in [
-        table1(data),
-        table2(world, data),
-        table3(data),
-        table4(data),
-        table5(),
-        table7(vendors, data, late_day),
-        fig1(world, data),
-        fig2_fig3(data),
-        fig4(data),
-        fig5_fig6_fig7(data),
-        fig8(data),
-        fig9(data),
-        fig10(data),
-        fig11(data),
-        fig12(world, data),
-        fig13(data),
-        stats(data),
-        evaluation(world, data),
-    ] {
-        out.push_str(&part);
-        out.push('\n');
+/// A finished study: everything a renderer may read.
+pub struct Study<'a> {
+    /// The world the study ran against (AS registry, ground truth).
+    pub world: &'a World,
+    /// The study's datasets.
+    pub data: &'a Datasets,
+    /// The vendor feeds' state at the end of the study.
+    pub vendors: &'a VendorDb,
+    /// Day of the late threat-intel re-query (Table 7).
+    pub late_day: u32,
+}
+
+/// A renderer over a finished study.
+pub type Render = fn(&Study) -> String;
+
+/// Every artefact in paper order, one name per renderer. [`all`] and
+/// `repro --only` both walk this list.
+pub const ARTEFACTS: &[(&str, Render)] = &[
+    ("table1", |s| table1(s.data)),
+    ("table2", |s| table2(s.world, s.data)),
+    ("table3", |s| table3(s.data)),
+    ("table4", |s| table4(s.data)),
+    ("table5", |_| table5()),
+    ("table7", |s| table7(s.vendors, s.data, s.late_day)),
+    ("fig1", |s| fig1(s.world, s.data)),
+    ("fig2_fig3", |s| fig2_fig3(s.data)),
+    ("fig4", |s| fig4(s.data)),
+    ("fig5_fig6_fig7", |s| fig5_fig6_fig7(s.data)),
+    ("fig8", |s| fig8(s.data)),
+    ("fig9", |s| fig9(s.data)),
+    ("fig10", |s| fig10(s.data)),
+    ("fig11", |s| fig11(s.data)),
+    ("fig12", |s| fig12(s.world, s.data)),
+    ("fig13", |s| fig13(s.data)),
+    ("stats", |s| stats(s.data)),
+    ("evaluation", |s| evaluation(s.world, s.data)),
+];
+
+/// The renderer registered under `name`.
+pub fn find(name: &str) -> Option<Render> {
+    ARTEFACTS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
+}
+
+/// Render `selected` in order. Several artefacts each end in a blank
+/// line; a lone one prints exactly as its renderer returns it.
+pub fn render(study: &Study, selected: &[Render]) -> String {
+    if let [one] = selected {
+        return one(study);
     }
-    out
+    selected.iter().map(|r| r(study) + "\n").collect()
+}
+
+/// Everything, in paper order.
+pub fn all(study: &Study) -> String {
+    let every: Vec<Render> = ARTEFACTS.iter().map(|&(_, r)| r).collect();
+    render(study, &every)
 }

@@ -774,10 +774,11 @@ impl EpochRun<'_> {
             // is pure — the epoch's day net is a function of (world,
             // opts, day) — but its consequences (tracking entry,
             // live-day/ip bookkeeping) cross days, so they are recorded
-            // for the reduce instead of applied here.
+            // for the reduce instead of applied here. Day 0 sends a
+            // single SYN, without the reduce's retries.
             if let Some(ip) = real_ip {
-                let live = tcp_probe(net, ip, cand.port);
-                if live {
+                let targets = [(cand.addr.clone(), ip, cand.port)];
+                if !liveness_probe_rounds(net, &targets, 0, &tel).is_empty() {
                     eday.day0_live.push(Day0Live {
                         addr: cand.addr.clone(),
                         ip,
@@ -1716,9 +1717,9 @@ fn static_triage(elf: &[u8], day: u32, sha256: &str, tel: &Telemetry) -> TriageR
 /// stage records the casualty in D-Health instead of aborting the
 /// study.
 ///
-/// Public so the bench harness can time the contained stage in
-/// isolation (`malnet-bench`'s `par_sweep`); pipeline callers go
-/// through [`Pipeline::run`].
+/// Public so `crates/core/tests/telemetry_report.rs` can drive the
+/// contained stage outside a study; pipeline callers go through
+/// [`Pipeline::run`].
 pub fn run_contained_batch(
     world: &World,
     opts: &PipelineOpts,
@@ -1800,8 +1801,9 @@ fn family_from_label(label: Option<&str>) -> Option<Family> {
 /// `liveness_retry_counter_counts_actual_reprobes` regression test.
 ///
 /// Public so the regression suite can drive the sweep against a
-/// hand-built network; the pipeline calls it from the reduce's daily
-/// sweep (via the per-address liveness oracle).
+/// hand-built network; the pipeline calls it for each new C2's day-0
+/// probe and from the reduce's daily sweep (via the per-address
+/// liveness oracle).
 pub fn liveness_probe_rounds(
     net: &mut Network,
     targets: &[(String, Ipv4Addr, u16)],
@@ -1849,31 +1851,6 @@ pub fn liveness_probe_rounds(
     live
 }
 
-/// TCP liveness probe from the monitor host.
-fn tcp_probe(net: &mut Network, ip: Ipv4Addr, port: u16) -> bool {
-    let added = !net.has_host(MONITOR_IP);
-    if added {
-        net.add_external_host(MONITOR_IP);
-    }
-    let sock = net.ext_tcp_connect(MONITOR_IP, ip, port);
-    net.run_for(SimDuration::from_secs(8));
-    let mut live = false;
-    for ev in net.ext_events(MONITOR_IP) {
-        if let SockEvent::Connected(s) = ev {
-            if s == sock {
-                live = true;
-            }
-        }
-    }
-    net.ext_tcp_abort(MONITOR_IP, sock);
-    net.run_for(SimDuration::from_secs(1));
-    net.ext_events(MONITOR_IP);
-    if added {
-        net.remove_host(MONITOR_IP);
-    }
-    live
-}
-
 /// Resolve a domain against the world resolver.
 fn resolve_on(net: &mut Network, domain: &str) -> Option<Ipv4Addr> {
     let name = DomainName::new(domain).ok()?;
@@ -1913,8 +1890,9 @@ fn resolve_on(net: &mut Network, domain: &str) -> Option<Ipv4Addr> {
 /// Pick the probing weapons: one Mirai and one Gafgyt sample with clean
 /// call-home behaviour (no exploit arsenal, no sandbox evasion, runs
 /// reliably). The paper's operators likewise hand-selected two known-good
-/// samples for the probing study (§2.3b).
-fn probe_weapons(world: &World) -> Vec<Vec<u8>> {
+/// samples for the probing study (§2.3b). Public so the probe-cadence
+/// ablation arms the same weapons.
+pub fn probe_weapons(world: &World) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for fam in [Family::Mirai, Family::Gafgyt] {
         if let Some(s) = world.samples.iter().find(|s| {
