@@ -18,7 +18,7 @@ use malnet_core::c2detect::detect_c2;
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_mips::asm::{Assembler, Ins, Reg};
 use malnet_mips::block::ExecCache;
-use malnet_mips::cpu::{Cpu, CpuError, STACK_SIZE, STACK_TOP};
+use malnet_mips::cpu::{Cpu, CpuError, StepOutcome, STACK_SIZE, STACK_TOP};
 use malnet_mips::mem::Memory;
 use malnet_netsim::net::Network;
 use malnet_netsim::time::{SimDuration, SimTime};
@@ -99,6 +99,109 @@ fn bench_mips(h: &mut Harness) {
         },
     );
     h.bench("mips/assemble_stub", malnet_botgen::stub::build_stub);
+}
+
+/// Syscalls one `mips/botvm_flood` iteration runs for.
+const BOTVM_SYSCALLS: u32 = 3000;
+
+/// Run [`BOTVM_SYSCALLS`] syscall-bounded slices with `slice`, answering
+/// each syscall with a fixed responder: new sockets get fd 3, sends
+/// report every byte sent, everything else succeeds with 0. Returns the
+/// retired instruction count.
+fn flood_slices(
+    cpu: &mut Cpu,
+    mut slice: impl FnMut(&mut Cpu) -> Result<Option<StepOutcome>, CpuError>,
+) -> u64 {
+    use malnet_mips::sys;
+    for _ in 0..BOTVM_SYSCALLS {
+        match slice(cpu) {
+            Ok(Some(StepOutcome::Syscall)) => {
+                let v = match cpu.reg(2) {
+                    sys::NR_SOCKET => 3,
+                    sys::NR_SENDTO => cpu.reg(6),
+                    _ => 0,
+                };
+                cpu.set_reg(2, v);
+                cpu.set_reg(7, 0);
+            }
+            other => panic!("flood guest stopped: {other:?}"),
+        }
+    }
+    cpu.retired
+}
+
+/// The real botgen interpreter stub running a bytecode flood loop
+/// (`sendto` + `rawsend` + `sleepms` + `addi` + `jne` per packet), so
+/// most retired instructions are the stub's opcode fetch, dispatch and
+/// VM-register traffic, as in the pipeline's restricted sessions. The
+/// same syscall-bounded run is timed under the stepping oracle and the
+/// block engine; `main` gates on the speedup between the two.
+fn bench_botvm(h: &mut Harness) {
+    use malnet_botgen::binary::BotProgram;
+    use malnet_botgen::botvm::{Op, ProgramBuilder, SockKind};
+    use malnet_mips::elf::ElfFile;
+
+    let mut b = ProgramBuilder::new();
+    let (poff, plen) = b.blob(&[0x5a; 64]);
+    b.op(Op::Ldi {
+        r: 1,
+        a: u32::from(Ipv4Addr::new(203, 0, 113, 7)),
+    })
+    .op(Op::Ldi { r: 2, a: 80 })
+    .op(Op::Ldi { r: 3, a: u32::MAX })
+    .op(Op::Socket {
+        r: 4,
+        kind: SockKind::Udp,
+    })
+    .op(Op::Socket {
+        r: 5,
+        kind: SockKind::RawTcp,
+    })
+    .label("flood")
+    .op(Op::SendTo {
+        x: 4,
+        y: 1,
+        r: 2,
+        a: 0,
+        b: poff,
+        c: plen,
+    })
+    .op(Op::RawSend {
+        x: 5,
+        y: 1,
+        a: 2048,
+        b: 20,
+    })
+    .op(Op::SleepMs { a: 1 })
+    .op(Op::Addi {
+        r: 3,
+        x: 3,
+        a: u32::MAX,
+    })
+    .jump(Op::Jne { x: 3, y: 0, a: 0 }, "flood")
+    .op(Op::End);
+    let (bytecode, blob) = b.build();
+    let elf = ElfFile::parse(&emit_elf(&BotProgram { bytecode, blob }, b"bench"))
+        .expect("emit_elf output parses");
+    let load = || {
+        let mut mem = elf.load();
+        mem.map_zeroed(STACK_TOP - STACK_SIZE, STACK_SIZE + 0x1000, true);
+        mem
+    };
+    h.bench_batched_counted(
+        "mips/botvm_flood_step",
+        || Cpu::new(load(), elf.entry),
+        |mut cpu| flood_slices(&mut cpu, |cpu| cpu.run(u64::MAX)),
+    );
+    h.bench_batched_counted(
+        "mips/botvm_flood",
+        || {
+            let mut mem = load();
+            let cache = ExecCache::for_entry(&mut mem, elf.entry).expect("text is cacheable");
+            (Cpu::new(mem, elf.entry), cache)
+        },
+        |(mut cpu, mut cache)| flood_slices(&mut cpu, |cpu| cpu.run_cached(u64::MAX, &mut cache)),
+    );
 }
 
 fn sample_spec() -> BehaviorSpec {
@@ -223,6 +326,7 @@ fn main() {
     let mut h = Harness::from_args();
     bench_wire(&mut h);
     bench_mips(&mut h);
+    bench_botvm(&mut h);
     bench_botgen(&mut h);
     bench_sandbox(&mut h);
     bench_pipeline(&mut h);
@@ -231,17 +335,30 @@ fn main() {
     // Regression gates (measured runs only; a gate is skipped if
     // `--filter` excluded its rows).
     let mut failures = Vec::new();
-    if let (Some(legacy), Some(block)) = (
-        h.median_ns_per_op("mips/emulate_500k_instr"),
-        h.median_ns_per_op("mips/block_exec_500k"),
-    ) {
-        let speedup = legacy / block;
-        h.record_derived("mips.block_speedup", speedup);
-        if speedup < 3.0 {
-            failures.push(format!(
-                "block-engine speedup {speedup:.2}x over the stepping \
-                 interpreter is below the 3x regression gate"
-            ));
+    for (legacy, block, derived, guest) in [
+        (
+            "mips/emulate_500k_instr",
+            "mips/block_exec_500k",
+            "mips.block_speedup",
+            "the 500k-instruction loop",
+        ),
+        (
+            "mips/botvm_flood_step",
+            "mips/botvm_flood",
+            "mips.botvm_speedup",
+            "the botvm flood guest",
+        ),
+    ] {
+        if let (Some(legacy), Some(block)) = (h.median_ns_per_op(legacy), h.median_ns_per_op(block))
+        {
+            let speedup = legacy / block;
+            h.record_derived(derived, speedup);
+            if speedup < 3.0 {
+                failures.push(format!(
+                    "block-engine speedup {speedup:.2}x over the stepping \
+                     interpreter on {guest} is below the 3x regression gate"
+                ));
+            }
         }
     }
     if let Some(ns) = h.median_ns_per_op("telemetry/counter_add_disabled") {

@@ -26,7 +26,16 @@
 //!   `xor` head specialized as [`Op::XorBne`];
 //! * branches and jumps carry a `nop` flag when their delay slot is a
 //!   `nop` (the assembler always emits one), letting a taken branch
-//!   retire branch+slot in one dispatch and jump directly.
+//!   retire branch+slot in one dispatch and jump directly;
+//! * a run of `lui rt, hi; ori rt, rt, lo; beq x, rt, target; nop`
+//!   elements (the stub's opcode compare chain) → [`Op::Switch`] at
+//!   every element head. The chain's keys, targets and fall-through
+//!   address live in a side table on [`ExecCache`] with a dense
+//!   key → position index, so one dispatch finds the matching element
+//!   instead of two per element walked.
+//!
+//! Guest loads and stores find their segment through [`Memory`]'s
+//! 16-entry region table, so the hot memory ops cost no segment scan.
 //!
 //! Fusion never spans a basic-block leader (a static branch target or
 //! a post-branch fall-through point), so hot back-edges always land on
@@ -246,9 +255,51 @@ pub enum Op {
         rt: u8,
         target: u32,
     },
+    /// Superinstruction: element `at` of compare chain `chain` (an index
+    /// into the cache's chain table), where each element is
+    /// `lui rt, hi; ori rt, rt, lo; beq x, rt, target; nop`. One dispatch
+    /// finds the first element at or after `at` whose key equals `x`,
+    /// retires 4 per element walked, leaves the last walked key in `rt`
+    /// and jumps to that element's target, or past the chain when none
+    /// matches. Degrades to the head's `li` on a short budget.
+    Switch { chain: u32, at: u32 },
     /// Sentinel one past the segment's last word: leave the fast path
     /// (the oracle faults or continues in another segment).
     Leave,
+}
+
+/// Largest key a compare chain may hold: keys index a dense
+/// key → position table.
+const MAX_CHAIN_KEY: u32 = 1023;
+
+/// Sentinel for keys absent from a chain's position index.
+const NO_POS: u32 = u32::MAX;
+
+/// A fused compare chain: `lui rt, hi; ori rt, rt, lo; beq x, rt,
+/// target; nop`, repeated with distinct keys. Element `k` sits at
+/// `head + 16 * k`.
+#[derive(Debug, Clone)]
+struct Chain {
+    rt: u8,
+    x: u8,
+    keys: Vec<u32>,
+    targets: Vec<u32>,
+    /// Address past the last element (where a miss falls through).
+    fall: u32,
+    /// Position of each key, indexed by key; [`NO_POS`] when absent.
+    pos: Vec<u32>,
+}
+
+impl Chain {
+    /// The first element at or after `at` whose key is `v`, if any. Keys
+    /// are distinct, so the index names the only candidate.
+    #[inline]
+    fn find(&self, v: u32, at: usize) -> Option<usize> {
+        match self.pos.get(v as usize) {
+            Some(&p) if p != NO_POS && p as usize >= at => Some(p as usize),
+            _ => None,
+        }
+    }
 }
 
 /// Operation selector for a fused pure-ALU component ([`Alu`]).
@@ -360,6 +411,8 @@ pub struct ExecCache {
     end: u32,
     /// One op per text word, plus the trailing [`Op::Leave`] sentinel.
     ops: Vec<Op>,
+    /// Compare chains referenced by [`Op::Switch`].
+    chains: Vec<Chain>,
     /// `Memory::code_version` the ops were decoded at.
     version: u64,
 }
@@ -380,6 +433,7 @@ impl ExecCache {
             base,
             end,
             ops: Vec::new(),
+            chains: Vec::new(),
             version: mem.code_version(),
         };
         cache.decode_from(mem);
@@ -421,7 +475,7 @@ impl ExecCache {
             let nop = i + 1 < n && insts[i + 1].word == 0;
             self.ops.push(lower(inst, nop));
         }
-        fuse(&mut self.ops, self.base);
+        self.chains = fuse(&mut self.ops, self.base);
         self.ops.push(Op::Leave);
     }
 }
@@ -519,7 +573,9 @@ fn lower(inst: &Inst, nop: bool) -> Op {
 /// (the component op is plain), but a hot loop whose head got consumed
 /// as the tail of the preceding block's pair would run unfused forever.
 /// Aligning fusion to leaders keeps back-edges landing on fused heads.
-fn fuse(ops: &mut [Op], base: u32) {
+///
+/// Returns the compare chains the [`Op::Switch`] heads index.
+fn fuse(ops: &mut [Op], base: u32) -> Vec<Chain> {
     let n = ops.len();
     let mut leader = vec![false; n];
     for i in 0..n {
@@ -548,8 +604,21 @@ fn fuse(ops: &mut [Op], base: u32) {
             }
         }
     }
+    let mut chains = Vec::new();
     let mut i = 0;
     while i + 1 < n {
+        if let Some(chain) = compare_chain(ops, &leader, base, i) {
+            let index = chains.len() as u32;
+            for at in 0..chain.keys.len() {
+                ops[i + 4 * at] = Op::Switch {
+                    chain: index,
+                    at: at as u32,
+                };
+            }
+            i += 4 * chain.keys.len();
+            chains.push(chain);
+            continue;
+        }
         if leader[i + 1] {
             // Nothing two-wide can start here without spanning a block
             // boundary.
@@ -692,6 +761,66 @@ fn fuse(ops: &mut [Op], base: u32) {
             }
         }
     }
+    chains
+}
+
+/// The compare chain starting at word `i`: the longest run of two or
+/// more `lui rt, hi; ori rt, rt, lo; beq x, rt, target; nop` elements
+/// sharing `rt` and `x` (`rt` neither `x` nor `$zero`), with distinct
+/// keys no larger than [`MAX_CHAIN_KEY`] and no leader inside an
+/// element (element heads may be leaders).
+fn compare_chain(ops: &[Op], leader: &[bool], base: u32, i: usize) -> Option<Chain> {
+    let element = |j: usize| -> Option<(u8, u8, u32, u32)> {
+        if j + 3 >= ops.len() || leader[j + 1] || leader[j + 2] || leader[j + 3] {
+            return None;
+        }
+        match (ops[j], ops[j + 1], ops[j + 2]) {
+            (
+                Op::Lui { rt, val },
+                Op::Ori {
+                    rt: ort,
+                    rs: ors,
+                    imm,
+                },
+                Op::Beq {
+                    rs: x,
+                    rt: brt,
+                    target,
+                    nop: true,
+                },
+            ) if ort == rt && ors == rt && brt == rt && rt != x && rt != 0 => {
+                Some((rt, x, val | imm, target))
+            }
+            _ => None,
+        }
+    };
+    let (rt, x, _, _) = element(i)?;
+    let mut keys: Vec<u32> = Vec::new();
+    let mut targets = Vec::new();
+    let mut j = i;
+    while let Some((ert, ex, key, target)) = element(j) {
+        if ert != rt || ex != x || key > MAX_CHAIN_KEY || keys.contains(&key) {
+            break;
+        }
+        keys.push(key);
+        targets.push(target);
+        j += 4;
+    }
+    if keys.len() < 2 {
+        return None;
+    }
+    let mut pos = vec![NO_POS; keys.iter().max().map_or(0, |&k| k as usize + 1)];
+    for (p, &k) in keys.iter().enumerate() {
+        pos[k as usize] = p as u32;
+    }
+    Some(Chain {
+        rt,
+        x,
+        keys,
+        targets,
+        fall: base + 4 * j as u32,
+        pos,
+    })
 }
 
 impl Cpu {
@@ -1293,6 +1422,35 @@ impl Cpu {
                             adv!();
                         }
                     }
+                    Op::Switch { chain, at } => {
+                        let c = &cache.chains[chain as usize];
+                        let at = at as usize;
+                        let hit = c.find(rr!(c.x), at);
+                        let last = hit.unwrap_or(c.keys.len() - 1);
+                        let walked = 4 * (last - at + 1) as u64;
+                        if remaining >= walked {
+                            // `x` is read before `rt` is written, which
+                            // the sequential stream matches since rt ≠ x.
+                            wr!(c.rt, c.keys[last]);
+                            remaining -= walked;
+                            pc = hit.map_or(c.fall, |p| c.targets[p]);
+                            if !cache.contains(pc) {
+                                self.pc = pc;
+                                self.retired += entered - remaining;
+                                continue 'outer;
+                            }
+                            idx = ((pc - base) >> 2) as usize;
+                        } else if remaining >= 2 {
+                            // The head's li; the plain beq runs next.
+                            wr!(c.rt, c.keys[at]);
+                            remaining -= 2;
+                            pc = pc.wrapping_add(8);
+                            idx += 2;
+                        } else {
+                            wr!(c.rt, c.keys[at] & 0xffff_0000);
+                            adv!();
+                        }
+                    }
                     Op::Leave => {
                         self.pc = pc;
                         self.retired += entered - remaining;
@@ -1307,7 +1465,7 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::{Assembler, Ins, Reg};
+    use crate::asm::{Assembler, Ins, Reg, Target};
     use crate::cpu::{STACK_SIZE, STACK_TOP};
 
     fn setup(code: Vec<u8>, writable_text: bool) -> (Cpu, ExecCache) {
@@ -1552,5 +1710,72 @@ mod tests {
         assert!(matches!(cache.ops[3], Op::Bne { .. }));
         assert!(matches!(cache.ops[5], Op::LiSyscall { rt: 2, .. }));
         assert_eq!(cache.ops.last(), Some(&Op::Leave));
+    }
+
+    /// The stub's dispatch shape: fetch an opcode into `$t8`, then a
+    /// `li $t9, k; beq $t8, $t9, op_k` chain for k = 0..n, a fall-through
+    /// exit, and one handler per opcode that counts in `$s0` and loops.
+    fn stub_chain(n: u32, opcodes: &[u8]) -> Vec<u8> {
+        asm(|a| {
+            a.ins(Ins::Li(Reg::S1, 0x1000_0000));
+            for (k, &op) in opcodes.iter().enumerate() {
+                a.ins(Ins::Li(Reg::T0, u32::from(op)))
+                    .ins(Ins::Sb(Reg::T0, Reg::S1, k as i16));
+            }
+            a.ins(Ins::Li(Reg::S2, opcodes.len() as u32))
+                .label("main_loop")
+                .ins(Ins::Beq(Reg::S3, Reg::S2, "done".into()))
+                .ins(Ins::Addu(Reg::S6, Reg::S1, Reg::S3))
+                .ins(Ins::Lbu(Reg::T8, Reg::S6, 0));
+            for k in 0..n {
+                a.ins(Ins::Li(Reg::T9, k)).ins(Ins::Beq(
+                    Reg::T8,
+                    Reg::T9,
+                    Target::Label(format!("op_{k}")),
+                ));
+            }
+            a.ins(Ins::Li(Reg::A0, 126)).ins(Ins::Break);
+            for k in 0..n {
+                a.label(&format!("op_{k}"))
+                    .ins(Ins::Addiu(Reg::S0, Reg::S0, k as i16))
+                    .ins(Ins::Addiu(Reg::S3, Reg::S3, 1))
+                    .ins(Ins::J("main_loop".into()));
+            }
+            a.label("done").ins(Ins::Break);
+        })
+    }
+
+    #[test]
+    fn stub_shaped_compare_chain_fuses_and_matches_oracle() {
+        // Hits at the head, the tail and the middle, then a miss that
+        // falls through to the exit.
+        let code = stub_chain(38, &[0, 37, 5, 36, 1, 99]);
+        let (_, cache) = setup(code.clone(), false);
+        assert_eq!(cache.chains.len(), 1);
+        let chain = &cache.chains[0];
+        assert_eq!(chain.keys, (0..38).collect::<Vec<u32>>());
+        let head = cache
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Switch { .. }))
+            .unwrap();
+        for at in 0..38 {
+            assert_eq!(
+                cache.ops[head + 4 * at],
+                Op::Switch {
+                    chain: 0,
+                    at: at as u32
+                }
+            );
+            // Component words keep their plain ops.
+            assert!(matches!(cache.ops[head + 4 * at + 1], Op::Ori { .. }));
+            assert!(matches!(cache.ops[head + 4 * at + 2], Op::Beq { .. }));
+        }
+        assert_eq!(chain.fall, cache.base + 4 * (head as u32 + 4 * 38));
+        assert!(!matches!(cache.ops[head + 4 * 38], Op::Switch { .. }));
+        for slice in 1..=9 {
+            lockstep(code.clone(), slice, false);
+        }
+        lockstep(code, 1000, false);
     }
 }

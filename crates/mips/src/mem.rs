@@ -4,6 +4,11 @@
 //! stack). All multi-byte accesses are big-endian, as on traditional MIPS.
 //! Out-of-segment or misaligned accesses return errors that the CPU
 //! surfaces as faults (real malware that wanders off segfaults; so do we).
+//!
+//! Every access finds its segment through a 16-entry region table
+//! indexed by `addr >> 28`: each 256 MiB region names the one segment
+//! overlapping it, none, or "several" (only then is the segment list
+//! scanned).
 
 use std::fmt;
 
@@ -54,10 +59,27 @@ struct Segment {
     writable: bool,
 }
 
+/// What overlaps one 256 MiB region of the address space.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Region {
+    /// No segment: any non-empty access here is `Unmapped`.
+    #[default]
+    Unmapped,
+    /// Exactly one segment, by index into `Memory::segments`.
+    One(u32),
+    /// Two or more segments: scan the list.
+    Several,
+}
+
+/// Number of bits of an address below its region index.
+const REGION_SHIFT: u32 = 28;
+
 /// The emulated address space.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
     segments: Vec<Segment>,
+    /// Segment lookup table, one entry per `addr >> REGION_SHIFT`.
+    regions: [Region; 16],
     /// Code-watch range `[watch_start, watch_end)`: successful writes
     /// overlapping it bump `code_version` so a predecoded execution
     /// cache (see `crate::block`) knows its view of `.text` is stale.
@@ -84,6 +106,17 @@ impl Memory {
                 end <= s.base as u64 || s_end <= base as u64,
                 "overlapping segments at {base:#x}"
             );
+        }
+        if end > base as u64 {
+            let first = (base >> REGION_SHIFT) as usize;
+            let last = ((end - 1) >> REGION_SHIFT) as usize;
+            let index = self.segments.len() as u32;
+            for r in &mut self.regions[first..=last] {
+                *r = match *r {
+                    Region::Unmapped => Region::One(index),
+                    _ => Region::Several,
+                };
+            }
         }
         self.segments.push(Segment {
             base,
@@ -128,7 +161,32 @@ impl Memory {
             .map(|s| (s.base, s.data.len() as u32, s.writable))
     }
 
+    #[inline]
     fn seg(&self, addr: u32, size: u32) -> Result<(usize, usize), MemError> {
+        // A non-empty access needs the segment holding `addr`, and only
+        // a segment overlapping `addr`'s region can. Empty accesses may
+        // sit one past a segment ending on a region boundary, so they
+        // keep the scan.
+        if size != 0 {
+            match self.regions[(addr >> REGION_SHIFT) as usize] {
+                Region::Unmapped => return Err(MemError::Unmapped { addr, size }),
+                Region::One(i) => {
+                    let s = &self.segments[i as usize];
+                    let off = addr.wrapping_sub(s.base);
+                    return if addr >= s.base && off as u64 + size as u64 <= s.data.len() as u64 {
+                        Ok((i as usize, off as usize))
+                    } else {
+                        Err(MemError::Unmapped { addr, size })
+                    };
+                }
+                Region::Several => {}
+            }
+        }
+        self.scan(addr, size)
+    }
+
+    /// The first segment the access fits in, by list order.
+    fn scan(&self, addr: u32, size: u32) -> Result<(usize, usize), MemError> {
         for (i, s) in self.segments.iter().enumerate() {
             let off = addr.wrapping_sub(s.base);
             if (off as u64) + size as u64 <= s.data.len() as u64 && addr >= s.base {
@@ -345,6 +403,129 @@ mod tests {
         m.read_into(0x400004, &mut buf).unwrap();
         assert_eq!(buf, [4, 5, 6, 7]);
         assert!(m.read_into(0x2000, &mut buf).is_err());
+    }
+
+    #[test]
+    fn segment_crossing_a_region_boundary_is_one_segment_in_both() {
+        let mut m = Memory::new();
+        m.map(0x0fff_f000, (0..=255).cycle().take(0x2000).collect(), true);
+        assert_eq!(m.regions[0], Region::One(0));
+        assert_eq!(m.regions[1], Region::One(0));
+        assert_eq!(m.regions[2], Region::Unmapped);
+        // An access spanning the boundary resolves through its first
+        // byte's region.
+        assert_eq!(m.read_bytes(0x0fff_fffe, 4).unwrap(), vec![254, 255, 0, 1]);
+        m.write_u32(0x1000_0000, 0xdead_beef).unwrap();
+        assert_eq!(m.read_u32(0x1000_0000).unwrap(), 0xdead_beef);
+        assert!(m.read_u8(0x1000_1000).is_err());
+    }
+
+    #[test]
+    fn two_segments_in_one_region_fall_back_to_the_scan() {
+        let mut m = Memory::new();
+        m.map(0x1000, vec![1; 16], false);
+        m.map(0x2000, vec![2; 16], true);
+        assert_eq!(m.regions[0], Region::Several);
+        assert_eq!(m.read_u8(0x1004).unwrap(), 1);
+        assert_eq!(m.read_u8(0x2004).unwrap(), 2);
+        assert!(m.write_u8(0x1004, 9).is_err());
+        m.write_u8(0x2004, 9).unwrap();
+        assert_eq!(m.read_u8(0x2004).unwrap(), 9);
+        assert!(matches!(
+            m.read_u8(0x1800),
+            Err(MemError::Unmapped {
+                addr: 0x1800,
+                size: 1
+            })
+        ));
+    }
+
+    #[test]
+    fn access_straddling_the_only_segments_end_is_unmapped() {
+        let mut m = Memory::new();
+        m.map(0x4000_0000, vec![0; 16], true);
+        assert_eq!(m.regions[4], Region::One(0));
+        assert_eq!(
+            m.read_bytes(0x4000_000c, 8),
+            Err(MemError::Unmapped {
+                addr: 0x4000_000c,
+                size: 8
+            })
+        );
+        assert!(matches!(
+            m.read_u32(0x4000_0010),
+            Err(MemError::Unmapped { .. })
+        ));
+        assert!(matches!(
+            m.read_u8(0x3fff_ffff),
+            Err(MemError::Unmapped { .. })
+        ));
+        m.write_u32(0x4000_000c, 7).unwrap();
+    }
+
+    #[test]
+    fn address_in_an_empty_region_is_unmapped() {
+        let mut m = mem();
+        assert_eq!(m.regions[7], Region::Unmapped);
+        assert_eq!(
+            m.read_u8(0x7000_0000),
+            Err(MemError::Unmapped {
+                addr: 0x7000_0000,
+                size: 1
+            })
+        );
+        assert!(matches!(
+            m.write_u32(0x7fff_fffc, 1),
+            Err(MemError::Unmapped { .. })
+        ));
+    }
+
+    #[test]
+    fn default_memory_behaves_like_new() {
+        let build = |mut m: Memory| {
+            m.map(0x1000, vec![3; 64], true);
+            m.map(0x7fff_0000, vec![4; 64], false);
+            m
+        };
+        let (mut a, mut b) = (build(Memory::default()), build(Memory::new()));
+        assert_eq!(a.regions, b.regions);
+        for addr in [
+            0,
+            0x1000,
+            0x103f,
+            0x1040,
+            0x7fff_0000,
+            0x7fff_0040,
+            0xffff_ffff,
+        ] {
+            assert_eq!(a.read_u8(addr), b.read_u8(addr));
+            assert_eq!(a.write_u8(addr, 1), b.write_u8(addr, 1));
+        }
+    }
+
+    #[test]
+    fn region_table_agrees_with_the_scan() {
+        // Adjacent segments meeting on a region boundary, a gap, a
+        // segment spanning two regions, and a region shared by two.
+        let mut m = Memory::new();
+        m.map(0x0fff_fff0, vec![0; 16], false);
+        m.map(0x1000_0000, vec![0; 32], true);
+        m.map(0x2fff_fff8, vec![0; 24], true);
+        m.map(0x3000_0100, vec![0; 8], false);
+        let edges = [
+            0x0fff_fff0u32,
+            0x1000_0000,
+            0x1000_0020,
+            0x3000_0000,
+            0x3000_0108,
+        ];
+        for edge in edges {
+            for addr in edge.wrapping_sub(9)..=edge.wrapping_add(9) {
+                for size in [0, 1, 2, 4, 8] {
+                    assert_eq!(m.seg(addr, size), m.scan(addr, size), "{addr:#x}+{size}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! syscall trace. Programs come from the same strategies the rest of
 //! the suite uses — the botgen stub subset with branches and syscalls,
 //! plus arbitrary instruction soup (fuzzed `.text`, writable so stores
-//! exercise cache invalidation).
+//! exercise cache invalidation) — and from the stub's opcode compare
+//! chain, which the engine runs as one dispatch.
 
 use proptest::prelude::*;
 
@@ -122,8 +123,104 @@ fn stub_ins() -> impl Strategy<Value = Ins> {
     ]
 }
 
+/// A compare-chain key: mostly from a small set, so duplicates occur,
+/// now and then one too wide for the chain's dense key index.
+fn chain_key() -> impl Strategy<Value = u32> {
+    (0u32..18).prop_map(|k| if k < 17 { k % 10 } else { 0x0001_0002 })
+}
+
+/// The chain's compared register and its `li` register: usually the
+/// stub's `$t8`/`$t9`, sometimes `$zero` on either side, and sometimes
+/// one register for both (shapes that must not fuse).
+fn chain_regs() -> impl Strategy<Value = (Reg, Reg)> {
+    (0u8..9).prop_map(|k| match k {
+        0 => (Reg::ZERO, Reg::T9),
+        1 => (Reg::T8, Reg::ZERO),
+        2 => (Reg::T9, Reg::T9),
+        _ => (Reg::T8, Reg::T9),
+    })
+}
+
+/// The stub's opcode dispatch shape: `li x, start`, a loop head that
+/// steps `x`, then `li rt, k; beq x, rt, target` per element, and a
+/// fall-through that yields and jumps back to the loop head. Each
+/// element's target selector picks, mostly, another element's head
+/// (entering the chain mid-way), else the loop head, the fall-through,
+/// or any word up to a little past the end (an element's middle, or
+/// outside the segment).
+fn compare_chain_program(
+    (x, rt): (Reg, Reg),
+    start: u32,
+    step: i16,
+    elements: &[(u32, u32)],
+) -> Vec<u8> {
+    let n = elements.len() as u32;
+    let (head, fall) = (2, 3 + 4 * n);
+    let mut a = Assembler::new(BASE);
+    a.ins(Ins::Li(x, start))
+        .label("head")
+        .ins(Ins::Addiu(x, x, step));
+    for &(key, sel) in elements {
+        let word = match sel % 8 {
+            0 => (sel / 8) % (fall + 8),
+            1 => head,
+            2 => fall,
+            _ => 3 + 4 * ((sel / 8) % n),
+        };
+        a.ins(Ins::Li(rt, key))
+            .ins(Ins::Beq(x, rt, Target::Abs(BASE + 4 * word)));
+    }
+    a.ins(Ins::Syscall).ins(Ins::J("head".into()));
+    a.assemble().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Compare chains of 1–40 elements, with duplicate keys, unfusable
+    /// register shapes and targets inside and outside the chain, match
+    /// the oracle at every partial budget.
+    #[test]
+    fn block_engine_matches_oracle_on_compare_chains(
+        regs in chain_regs(),
+        start in 0u32..10,
+        step in 0i16..3,
+        elements in proptest::collection::vec((chain_key(), any::<u32>()), 1..=40),
+        slice in prop_oneof![1u64..=9, Just(100_000u64)],
+    ) {
+        lockstep(compare_chain_program(regs, start, step, &elements), slice, false)?;
+    }
+
+    /// A store that rewrites one chain element's key (its `ori`) on
+    /// every trip through the loop: the cache rebuilds the chain, and
+    /// the block engine still matches the oracle.
+    #[test]
+    fn block_engine_matches_oracle_when_a_store_rewrites_a_chain_key(
+        keys in proptest::collection::vec(chain_key(), 2..=12),
+        patch in any::<prop::sample::Index>(),
+        new_key in 0u32..12,
+        slice in prop_oneof![1u64..=9, Just(100_000u64)],
+    ) {
+        // Prologue: `li $s1, BASE` (2 words), `li $t8, 0` (2 words);
+        // the chain starts at word 4, element j's `ori` at 4 + 4j + 1.
+        let j = patch.index(keys.len());
+        let ori_off = 4 * (4 + 4 * j as i16 + 1);
+        let ori = 0x3400_0000 | 25 << 21 | 25 << 16 | new_key;
+        let mut a = Assembler::new(BASE);
+        a.ins(Ins::Li(Reg::S1, BASE))
+            .ins(Ins::Li(Reg::T8, 0))
+            .label("head");
+        for &key in &keys {
+            a.ins(Ins::Li(Reg::T9, key))
+                .ins(Ins::Beq(Reg::T8, Reg::T9, "patch".into()));
+        }
+        a.label("patch")
+            .ins(Ins::Li(Reg::T0, ori))
+            .ins(Ins::Sw(Reg::T0, Reg::S1, ori_off))
+            .ins(Ins::Addiu(Reg::T8, Reg::T8, 1))
+            .ins(Ins::J("head".into()));
+        lockstep(a.assemble().unwrap(), slice, true)?;
+    }
 
     /// Assembled stub-subset programs (with the idioms fusion targets)
     /// behave identically under both engines at every budget slicing.

@@ -448,11 +448,14 @@ impl Network {
     }
 
     fn record(&mut self, ip: Ipv4Addr, ts: SimTime, pkt: &Packet) {
-        if let Some(h) = self.hosts.get_mut(&ip) {
-            if let Some(cap) = h.capture.as_mut() {
-                cap.push((ts.as_micros(), pkt.clone()));
-            }
+        if let Some(cap) = self.tap(ip) {
+            cap.push((ts.as_micros(), pkt.clone()));
         }
+    }
+
+    /// The capture buffer of `ip`'s host, when capture is on.
+    fn tap(&mut self, ip: Ipv4Addr) -> Option<&mut Vec<(u64, Packet)>> {
+        self.hosts.get_mut(&ip).and_then(|h| h.capture.as_mut())
     }
 
     /// Deterministic per-pair latency: base + hash-derived jitter. The
@@ -479,9 +482,11 @@ impl Network {
             if !filter(self.now, &pkt) {
                 // Contained by the egress filter; still visible on the
                 // sender's tap (the IDS sits at the network perimeter).
-                let now = self.now;
-                let src = pkt.src;
-                self.record(src, now, &pkt);
+                // The packet goes no further, so the tap takes it whole.
+                let at = self.now.as_micros();
+                if let Some(cap) = self.tap(pkt.src) {
+                    cap.push((at, pkt));
+                }
                 return;
             }
         }

@@ -526,11 +526,12 @@ impl BotProcess {
                         return None;
                     }
                 };
+                // Only the first 64 KiB is read and sent; report that.
+                let n = data.len() as u32;
                 match self.fds.get(&a0) {
                     Some(Fd::Udp { sport, .. }) => {
                         let sport = *sport;
                         let (rdst, rport) = sb.prepare_udp_dest(dst, port);
-                        let n = data.len() as u32;
                         sb.net
                             .ext_udp_send(self.cfg.bot_ip, sport, rdst, rport, data);
                         self.ret(n);
@@ -538,7 +539,7 @@ impl BotProcess {
                     Some(Fd::RawTcp) => {
                         if let Some(pkt) = self.craft_tcp(dst, &data) {
                             sb.net.ext_send_raw(self.cfg.bot_ip, pkt);
-                            self.ret(a2);
+                            self.ret(n);
                         } else {
                             self.ret_err(sys::EINVAL);
                         }
@@ -547,7 +548,7 @@ impl BotProcess {
                         Ok(msg) => {
                             let pkt = Packet::icmp(self.cfg.bot_ip, dst, msg);
                             sb.net.ext_send_raw(self.cfg.bot_ip, pkt);
-                            self.ret(a2);
+                            self.ret(n);
                         }
                         Err(_) => self.ret_err(sys::EINVAL),
                     },

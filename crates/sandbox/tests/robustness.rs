@@ -314,3 +314,68 @@ fn deadline_is_enforced_during_sleep() {
     let elapsed = sb.net.now().since(start);
     assert!(elapsed <= SimDuration::from_secs(6), "{elapsed:?}");
 }
+
+#[test]
+fn oversized_raw_sendto_returns_the_consumed_length() {
+    // sendto(raw socket, buf, 128 KiB): only the first 64 KiB is read
+    // and sent, so that is what the call returns. The guest exits with
+    // the return value as its status.
+    const DATA: u32 = 0x1000_0000;
+    const LEN: u32 = 0x2_0000;
+    for proto in [6u32, 1] {
+        let mut a = Assembler::new(0x0040_0000);
+        for ins in [
+            Ins::Li(Reg::A0, sys::AF_INET),
+            Ins::Li(Reg::A1, sys::SOCK_RAW),
+            Ins::Li(Reg::A2, proto),
+            Ins::Li(Reg::V0, sys::NR_SOCKET),
+            Ins::Syscall,
+            Ins::Move(Reg::A0, Reg::V0),
+            Ins::Li(Reg::T0, DATA),
+            Ins::Sw(Reg::T0, Reg::SP, 16),
+            Ins::Li(Reg::T0, 16),
+            Ins::Sw(Reg::T0, Reg::SP, 20),
+            Ins::Li(Reg::A1, DATA + 16),
+            Ins::Li(Reg::A2, LEN),
+            Ins::Li(Reg::A3, 0),
+            Ins::Li(Reg::V0, sys::NR_SENDTO),
+            Ins::Syscall,
+            Ins::Move(Reg::A0, Reg::V0),
+            Ins::Li(Reg::V0, sys::NR_EXIT),
+            Ins::Syscall,
+        ] {
+            a.ins(ins);
+        }
+        let text = a.assemble().unwrap();
+        let mut data = sys::encode_sockaddr(u32::from(Ipv4Addr::new(203, 0, 113, 9)), 80).to_vec();
+        let mut payload = vec![0u8; LEN as usize];
+        // A valid ICMP echo request over the 64 KiB actually read (the
+        // TCP path only needs 20 header bytes).
+        payload[..4].copy_from_slice(&[8, 0, 0xf7, 0xff]);
+        data.extend_from_slice(&payload);
+        let elf = ElfFile {
+            entry: 0x0040_0000,
+            segments: vec![
+                ElfSegment {
+                    vaddr: 0x0040_0000,
+                    memsz: text.len() as u32,
+                    data: text,
+                    writable: false,
+                    executable: true,
+                    name: ".text",
+                },
+                ElfSegment {
+                    vaddr: DATA,
+                    memsz: data.len() as u32,
+                    data,
+                    writable: true,
+                    executable: false,
+                    name: ".data",
+                },
+            ],
+        }
+        .write();
+        let art = sandbox().execute(&elf, SimDuration::from_secs(5));
+        assert_eq!(art.exit, ExitReason::Exited(65536), "protocol {proto}");
+    }
+}
