@@ -55,6 +55,8 @@ fn bench_mips(h: &mut Harness) {
     // The same ~500k-retired-instruction program runs under both
     // engines; the per-op times and `instr_per_sec` fields make the
     // block-engine speedup directly readable, and `main` gates on it.
+    // Its body is the one shape `Op::AddAddXorBne` fuses; no botgen
+    // guest emits `xor`, so that op exists only for this row.
     let base = 0x0040_0000;
     let mut a = Assembler::new(base);
     a.ins(Ins::Li(Reg::T0, 0))

@@ -12,39 +12,38 @@
 //! then executes from the cache with a direct-indexed lookup
 //! (`(pc - base) >> 2`), no per-instruction fetch or decode.
 //!
-//! A fusion pass rewrites the hot botgen stub idioms into
-//! superinstructions:
+//! A fusion pass rewrites the idioms the botgen stub actually runs into
+//! superinstructions. The shares are of all block-engine dispatches on
+//! the `flood_eavesdrop` study benchmark (world 22, seed 22):
 //!
-//! * `lui rt, hi; ori rt, rt, lo` → [`Op::LiPair`] (every `Ins::Li`);
-//! * `lui; ori; syscall` → [`Op::LiSyscall`] (the syscall prelude);
-//! * `addiu rt, rt, i; bne; nop` → [`Op::CountBne`] (loop counters);
-//! * `addiu; addu; xor; bne; nop` → [`Op::AddAddXorBne`] (the stub's
-//!   mix busy-loop body, which also iterates in place on self-loops);
-//! * any two adjacent pure-ALU ops → [`Op::Alu2`], with the dominant
-//!   `addiu; addu` pair specialized as [`Op::AddiuAddu`];
-//! * a pure-ALU op feeding `bne; nop` → [`Op::AluBne`], with the
-//!   `xor` head specialized as [`Op::XorBne`];
-//! * branches and jumps carry a `nop` flag when their delay slot is a
-//!   `nop` (the assembler always emits one), letting a taken branch
-//!   retire branch+slot in one dispatch and jump directly;
+//! * any two adjacent pure-ALU ops → [`Op::Alu2`] (14.2%);
 //! * a run of `lui rt, hi; ori rt, rt, lo; beq x, rt, target; nop`
 //!   elements (the stub's opcode compare chain) → [`Op::Switch`] at
-//!   every element head. The chain's keys, targets and fall-through
-//!   address live in a side table on [`ExecCache`] with a dense
-//!   key → position index, so one dispatch finds the matching element
-//!   instead of two per element walked.
+//!   every element head (4.4%). The chain's keys, targets and
+//!   fall-through address live in a side table on [`ExecCache`] with a
+//!   dense key → position index, so one dispatch finds the matching
+//!   element instead of two per element walked;
+//! * `lui rt, hi; ori rt, rt, lo` → [`Op::LiPair`] (every `Ins::Li`,
+//!   3.2%);
+//! * `lui; ori; syscall` → [`Op::LiSyscall`] (the syscall prelude,
+//!   1.1%);
+//! * `addiu; addu; xor; bne; nop` → [`Op::AddAddXorBne`], which also
+//!   iterates in place on self-loops. The stub emits no `xor`, so this
+//!   never runs on a guest; it serves the synthetic
+//!   `mips/block_exec_500k` bench row and its speedup gate;
+//! * branches and jumps carry a `nop` flag when their delay slot is a
+//!   `nop` (the assembler always emits one), letting a taken branch
+//!   retire branch+slot in one dispatch and jump directly.
+//!
+//! Everything else, loop counters and `alu; bne; nop` back-edges
+//! included, runs as plain ops.
 //!
 //! Guest loads and stores find their segment through [`Memory`]'s
 //! 16-entry region table, so the hot memory ops cost no segment scan.
 //!
 //! Fusion never spans a basic-block leader (a static branch target or
 //! a post-branch fall-through point), so hot back-edges always land on
-//! a fused head rather than the middle of a pair. Specialized variants
-//! exist because on modest cores each dispatch — the indirect branch
-//! plus the op load — costs as much as the ALU work it guards; concrete
-//! per-kind code keeps the op count per dispatch high without adding an
-//! inner kind-dispatch (which profiling showed costs as much as the
-//! outer one).
+//! a fused head rather than the middle of a pair.
 //!
 //! Fusion is always safe because only the *head* word's op is replaced:
 //! the component words keep their plain ops, so a branch into the middle
@@ -194,52 +193,18 @@ pub enum Op {
     /// Superinstruction: `lui; ori; syscall` — the stub's syscall
     /// prelude. Retires 3 and yields to the embedder.
     LiSyscall { rt: u8, hi: u32, val: u32 },
-    /// Superinstruction: `addiu rt, rt, imm; bne rs, rt2, target; nop` —
-    /// the loop-counter idiom. Retires 3.
-    CountBne {
-        rt: u8,
-        imm: u32,
-        rs: u8,
-        rt2: u8,
-        target: u32,
-    },
     /// Superinstruction: two adjacent pure-ALU instructions in one
     /// dispatch. Retires 2; degrades to `a` alone when the budget
     /// covers only one instruction.
     Alu2 { a: Alu, b: Alu },
-    /// Superinstruction: a pure-ALU instruction, then
-    /// `bne rs, rt, target` with a `nop` delay slot (the generalized
-    /// loop back-edge). Retires 3; degrades to `a` alone on a short
-    /// budget.
-    AluBne { a: Alu, rs: u8, rt: u8, target: u32 },
-    /// [`Op::Alu2`] specialized for the dominant stub idiom
-    /// `addiu d1, s1, imm; addu d2, s2, t2` (induction step plus a
-    /// dependent arithmetic op): straight-line code, no per-component
-    /// kind dispatch. Retires 2.
-    AddiuAddu {
-        d1: u8,
-        s1: u8,
-        imm: u32,
-        d2: u8,
-        s2: u8,
-        t2: u8,
-    },
-    /// [`Op::AluBne`] specialized for `xor d, s, t; bne rs, rt, target;
-    /// nop` — the stub's compare-and-loop back-edge. Retires 3.
-    XorBne {
-        d: u8,
-        s: u8,
-        t: u8,
-        rs: u8,
-        rt: u8,
-        target: u32,
-    },
-    /// The whole stub mix busy-loop body in one dispatch:
+    /// A whole arithmetic loop body in one dispatch:
     /// `addiu d1, s1, imm; addu d2, s2, t2; xor d3, s3, t3;
     /// bne rs, rt, target; nop`. Retires 5 per trip, and when the bne
     /// targets its own head (a self-loop) it keeps iterating without
     /// re-dispatching until the branch falls through or the budget runs
     /// out. Degrades to the addiu alone on a short budget.
+    /// Kept only for the synthetic `mips/block_exec_500k` gate row: no
+    /// botgen guest emits `xor`.
     #[allow(clippy::missing_docs_in_private_items)]
     AddAddXorBne {
         d1: u8,
@@ -651,27 +616,8 @@ fn fuse(ops: &mut [Op], base: u32) -> Vec<Chain> {
                     i += 2;
                 }
             }
-            (
-                Op::Addiu { rt, rs, imm },
-                Op::Bne {
-                    rs: brs,
-                    rt: brt,
-                    target,
-                    nop: true,
-                },
-            ) if rs == rt && !leader[i + 2] => {
-                // `nop: true` implies the word at i+2 exists and is nop.
-                ops[i] = Op::CountBne {
-                    rt,
-                    imm,
-                    rs: brs,
-                    rt2: brt,
-                    target,
-                };
-                i += 3;
-            }
             _ => {
-                // The stub's mix busy-loop body — induction, accumulate,
+                // The synthetic bench loop body — induction, accumulate,
                 // mix, back-edge — fuses whole when no branch lands
                 // inside it (`nop: true` on the bne implies the delay
                 // slot at i+4 exists).
@@ -707,53 +653,9 @@ fn fuse(ops: &mut [Op], base: u32) -> Vec<Chain> {
                         }
                     }
                 }
-                // Generalized back-edge: any pure-ALU op feeding a bne
-                // with a nop delay slot (`nop: true` implies the word at
-                // i+2 exists and is the nop).
-                if let Op::Bne {
-                    rs,
-                    rt,
-                    target,
-                    nop: true,
-                } = ops[i + 1]
-                {
-                    // `nop: true` implies the word at i+2 exists.
-                    if !leader[i + 2] {
-                        if let Some(a) = as_alu(ops[i]) {
-                            // Dispatch-free variant for the hot kind.
-                            ops[i] = if a.k == AluK::Xor {
-                                Op::XorBne {
-                                    d: a.d,
-                                    s: a.s,
-                                    t: a.t,
-                                    rs,
-                                    rt,
-                                    target,
-                                }
-                            } else {
-                                Op::AluBne { a, rs, rt, target }
-                            };
-                            i += 3;
-                            continue;
-                        }
-                    }
-                }
-                // Any two adjacent pure-ALU ops pair into one dispatch;
-                // the dominant induction-plus-arith pair gets the
-                // dispatch-free variant.
+                // Any two adjacent pure-ALU ops pair into one dispatch.
                 if let (Some(a), Some(b)) = (as_alu(ops[i]), as_alu(ops[i + 1])) {
-                    ops[i] = if a.k == AluK::Addiu && b.k == AluK::Addu {
-                        Op::AddiuAddu {
-                            d1: a.d,
-                            s1: a.s,
-                            imm: a.imm,
-                            d2: b.d,
-                            s2: b.s,
-                            t2: b.t,
-                        }
-                    } else {
-                        Op::Alu2 { a, b }
-                    };
+                    ops[i] = Op::Alu2 { a, b };
                     i += 2;
                     continue;
                 }
@@ -925,35 +827,6 @@ impl Cpu {
                     }
                 }};
             }
-            // Handler peeking at back-edges: taken fused branches land
-            // on a block head, and in hot loops that head is the fused
-            // induction pair. Executing it inline here (a cheap
-            // discriminant test, a direct conditional branch) keeps the
-            // main `match` site seeing one variant per loop, so its
-            // indirect branch stays predicted instead of alternating.
-            macro_rules! peek {
-                () => {
-                    if remaining >= 2 {
-                        if let Op::AddiuAddu {
-                            d1,
-                            s1,
-                            imm,
-                            d2,
-                            s2,
-                            t2,
-                        } = cache.ops[idx]
-                        {
-                            let v = rr!(s1).wrapping_add(imm);
-                            wr!(d1, v);
-                            let v2 = rr!(s2).wrapping_add(rr!(t2));
-                            wr!(d2, v2);
-                            remaining -= 2;
-                            pc = pc.wrapping_add(8);
-                            idx += 2;
-                        }
-                    }
-                };
-            }
 
             loop {
                 if remaining == 0 {
@@ -973,73 +846,6 @@ impl Cpu {
                             // Budget covers only the first component; the
                             // plain op at idx+1 runs on the next call.
                             alu_eval(&mut self.regs, a);
-                            adv!();
-                        }
-                    }
-                    Op::AluBne { a, rs, rt, target } => {
-                        if remaining >= 3 {
-                            alu_eval(&mut self.regs, a);
-                            // The bne reads post-ALU values, exactly as
-                            // the sequential stream would.
-                            let taken = rr!(rs) != rr!(rt);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
-                            alu_eval(&mut self.regs, a);
-                            adv!();
-                        }
-                    }
-                    Op::AddiuAddu {
-                        d1,
-                        s1,
-                        imm,
-                        d2,
-                        s2,
-                        t2,
-                    } => {
-                        let v = rr!(s1).wrapping_add(imm);
-                        wr!(d1, v);
-                        if remaining >= 2 {
-                            let v2 = rr!(s2).wrapping_add(rr!(t2));
-                            wr!(d2, v2);
-                            remaining -= 2;
-                            pc = pc.wrapping_add(8);
-                            idx += 2;
-                        } else {
-                            adv!();
-                        }
-                    }
-                    Op::XorBne {
-                        d,
-                        s,
-                        t,
-                        rs,
-                        rt,
-                        target,
-                    } => {
-                        let v = rr!(s) ^ rr!(t);
-                        wr!(d, v);
-                        if remaining >= 3 {
-                            // The bne reads post-xor values, exactly as
-                            // the sequential stream would.
-                            let taken = rr!(rs) != rr!(rt);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
                             adv!();
                         }
                     }
@@ -1396,32 +1202,6 @@ impl Cpu {
                             adv!();
                         }
                     }
-                    Op::CountBne {
-                        rt,
-                        imm,
-                        rs,
-                        rt2,
-                        target,
-                    } => {
-                        let v = rr!(rt).wrapping_add(imm);
-                        wr!(rt, v);
-                        if remaining >= 3 {
-                            // The bne reads post-increment values, as in
-                            // the sequential stream.
-                            let taken = rr!(rs) != rr!(rt2);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
-                            adv!();
-                        }
-                    }
                     Op::Switch { chain, at } => {
                         let c = &cache.chains[chain as usize];
                         let at = at as usize;
@@ -1696,19 +1476,34 @@ mod tests {
         let code = asm(|a| {
             a.ins(Ins::Li(Reg::T1, 0x12345678)) // LiPair
                 .label("loop")
-                .ins(Ins::Addiu(Reg::T0, Reg::T0, 1)) // CountBne head
+                .ins(Ins::Addiu(Reg::T0, Reg::T0, 1)) // loop counter: unfused
                 .ins(Ins::Bne(Reg::T0, Reg::T1, "loop".into()))
                 .ins(Ins::Li(Reg::V0, 4001)) // LiSyscall
-                .ins(Ins::Syscall);
+                .ins(Ins::Syscall)
+                .ins(Ins::Addiu(Reg::T2, Reg::T2, 1)) // Alu2
+                .ins(Ins::Addu(Reg::T3, Reg::T2, Reg::T0))
+                .label("xor")
+                .ins(Ins::Xor(Reg::T4, Reg::T3, Reg::T2)) // back-edge: unfused
+                .ins(Ins::Bne(Reg::T4, Reg::T1, "xor".into()));
         });
         let (cpu, cache) = setup(code, false);
         drop(cpu);
         assert!(matches!(cache.ops[0], Op::LiPair { rt: 9, .. }));
-        assert!(matches!(cache.ops[2], Op::CountBne { .. }));
         // Component words keep their plain ops for mid-sequence entry.
         assert!(matches!(cache.ops[1], Op::Ori { .. }));
-        assert!(matches!(cache.ops[3], Op::Bne { .. }));
+        assert!(matches!(cache.ops[2], Op::Addiu { rt: 8, rs: 8, .. }));
+        assert!(matches!(cache.ops[3], Op::Bne { nop: true, .. }));
         assert!(matches!(cache.ops[5], Op::LiSyscall { rt: 2, .. }));
+        assert!(matches!(
+            cache.ops[8],
+            Op::Alu2 {
+                a: Alu { k: AluK::Addiu, .. },
+                b: Alu { k: AluK::Addu, .. },
+            }
+        ));
+        assert!(matches!(cache.ops[9], Op::Addu { .. }));
+        assert!(matches!(cache.ops[10], Op::Xor { rd: 12, .. }));
+        assert!(matches!(cache.ops[11], Op::Bne { nop: true, .. }));
         assert_eq!(cache.ops.last(), Some(&Op::Leave));
     }
 
