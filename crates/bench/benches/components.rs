@@ -10,11 +10,13 @@ use std::net::Ipv4Addr;
 
 use malnet_bench::timing::Harness;
 use malnet_botgen::binary::emit_elf;
+use malnet_botgen::c2service::{install_c2, C2Config, RespondMode};
 use malnet_botgen::exploitdb::VulnId;
 use malnet_botgen::programs::compile;
 use malnet_botgen::spec::{BehaviorSpec, C2Endpoint, ExploitPlan};
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::c2detect::detect_c2;
+use malnet_core::ddos::{Eavesdrop, DEFAULT_PPS_THRESHOLD};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_mips::asm::{Assembler, Ins, Reg};
 use malnet_mips::block::ExecCache;
@@ -22,7 +24,8 @@ use malnet_mips::cpu::{Cpu, CpuError, StepOutcome, STACK_SIZE, STACK_TOP};
 use malnet_mips::mem::Memory;
 use malnet_netsim::net::Network;
 use malnet_netsim::time::{SimDuration, SimTime};
-use malnet_sandbox::{Sandbox, SandboxConfig};
+use malnet_protocols::{AttackCommand, AttackMethod, Family};
+use malnet_sandbox::{AnalysisMode, Sandbox, SandboxConfig};
 use malnet_wire::packet::Packet;
 use malnet_wire::pcap;
 use malnet_wire::tcp::TcpFlags;
@@ -260,6 +263,59 @@ fn bench_sandbox(h: &mut Harness) {
     });
 }
 
+/// The restricted-mode eavesdrop over a real Mirai flood capture, built
+/// the way `examples/ddos_eavesdrop.rs` builds one: a live C2 orders a
+/// UDP flood and the restricted sandbox records the whole session.
+fn bench_ddos(h: &mut Harness) {
+    let (c2, bot) = (Ipv4Addr::new(10, 1, 0, 5), Ipv4Addr::new(100, 64, 0, 2));
+    let mut net = Network::new(SimTime::EPOCH, 9);
+    install_c2(
+        &mut net,
+        c2,
+        C2Config {
+            family: Family::Mirai,
+            port: 23,
+            respond: RespondMode::Always,
+            commands_on_login: vec![(
+                SimDuration::from_secs(30),
+                AttackCommand {
+                    method: AttackMethod::UdpFlood,
+                    target: Ipv4Addr::new(203, 0, 113, 99),
+                    port: 4567,
+                    duration_secs: 5,
+                },
+            )],
+            serve_loader: None,
+        },
+    );
+    let elf = emit_elf(
+        &compile(&BehaviorSpec {
+            family: Family::Mirai,
+            c2: vec![(C2Endpoint::Ip(c2), 23)],
+            recv_timeout_ms: 10_000,
+            ..Default::default()
+        }),
+        b"eavesdrop",
+    );
+    let mut sb = Sandbox::new(
+        net,
+        SandboxConfig {
+            bot_ip: bot,
+            mode: AnalysisMode::Restricted { allowed: vec![c2] },
+            handshaker_threshold: None,
+            ..Default::default()
+        },
+    );
+    let capture = sb.execute(&elf, SimDuration::from_secs(120)).pcap;
+    h.bench("core/ddos_extract_flood_capture", || {
+        Eavesdrop::from_capture(std::hint::black_box(&capture), bot, [c2]).commands(
+            c2,
+            Some(Family::Mirai),
+            DEFAULT_PPS_THRESHOLD,
+        )
+    });
+}
+
 fn bench_pipeline(h: &mut Harness) {
     let world = World::generate(WorldConfig {
         seed: 3,
@@ -331,6 +387,7 @@ fn main() {
     bench_botvm(&mut h);
     bench_botgen(&mut h);
     bench_sandbox(&mut h);
+    bench_ddos(&mut h);
     bench_pipeline(&mut h);
     bench_telemetry(&mut h);
 

@@ -16,13 +16,18 @@
 //! target continuously"): a profiler command must be followed by actual
 //! flood traffic to the commanded target; a behavioural hit must find the
 //! target's bytes in the last command payload.
+//!
+//! Both detectors read one pass over the capture: an [`Eavesdrop`] walks
+//! the pcap records once for all of a session's live C2s, borrowing
+//! payloads from the capture bytes, and then answers per C2.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use malnet_protocols::profiler::C2Profiler;
-use malnet_protocols::{AttackCommand, Family};
-use malnet_wire::packet::{Packet, Transport};
+use malnet_protocols::{AttackCommand, AttackMethod, Family};
+use malnet_wire::packet::{Packet, PacketRef, TransportRef};
+use malnet_wire::pcap;
 
 use crate::datasets::DdosDetection;
 
@@ -44,7 +49,8 @@ pub struct ExtractedCommand {
     pub ts_micros: u64,
 }
 
-/// Extract commands from a session capture.
+/// Extract commands for one C2 from a decoded session capture: a thin
+/// adapter that feeds `packets` through one [`Eavesdrop`].
 ///
 /// `c2_ip` is the (already attributed) C2 address of this session;
 /// `bot_ip` the sandboxed device; `family` the sample's label (profilers
@@ -56,167 +62,229 @@ pub fn extract(
     family: Option<Family>,
     pps_threshold: u64,
 ) -> Vec<ExtractedCommand> {
-    // --- reassemble C2→bot payload stream, keeping per-chunk timestamps ---
-    let mut c2_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut ev = Eavesdrop::new(bot_ip, [c2_ip]);
     for (ts, p) in packets {
-        if p.src == c2_ip && p.dst == bot_ip {
-            if let Transport::Tcp { payload, .. } = &p.transport {
+        ev.push(*ts, PacketRef::from(p));
+    }
+    ev.commands(c2_ip, family, pps_threshold)
+}
+
+/// The bot's traffic toward one destination, as the behavioural
+/// detector and the profiler's verification need it.
+#[derive(Debug, Clone, Copy)]
+struct Flow {
+    /// Timestamps of the first and last packet, in capture order.
+    first: u64,
+    last: u64,
+    /// Latest timestamp seen (the profiler's "traffic after the
+    /// command" check).
+    latest: u64,
+    /// Highest packets-per-second count of any one second.
+    peak_pps: u64,
+    syn: u64,
+    udp: u64,
+    icmp: u64,
+    /// Destination port of the last TCP/UDP packet.
+    port: u16,
+}
+
+impl Flow {
+    /// Infer the attack from the flood traffic itself (used when only
+    /// the behavioural detector fires, e.g. unknown families):
+    /// `(method, port, duration_secs)`.
+    fn shape(&self) -> (AttackMethod, u16, u32) {
+        let dur = (self.last.saturating_sub(self.first) / 1_000_000) as u32 + 1;
+        if self.icmp > self.syn && self.icmp > self.udp {
+            (AttackMethod::Blacknurse, 0, dur)
+        } else if self.syn > self.udp {
+            (AttackMethod::SynFlood, self.port, dur)
+        } else {
+            (AttackMethod::UdpFlood, self.port, dur)
+        }
+    }
+}
+
+/// One pass over a session capture for all of a job's live C2s.
+///
+/// [`Eavesdrop::from_capture`] (or [`extract`], over decoded packets)
+/// feeds it every packet once, in capture order; it keeps only what the
+/// detectors read: each C2's C2→bot TCP payloads (borrowed, never
+/// copied), the bot's packets per (second, destination), and the shape
+/// of the bot's traffic per destination. [`Eavesdrop::commands`] then
+/// answers for any one C2.
+#[derive(Debug, Clone)]
+pub struct Eavesdrop<'a> {
+    bot_ip: Ipv4Addr,
+    /// C2→bot TCP payload chunks per C2 address, in capture order.
+    chunks: BTreeMap<Ipv4Addr, Vec<(u64, &'a [u8])>>,
+    /// Bot-sourced packets per (second, destination).
+    per_sec: BTreeMap<(u64, Ipv4Addr), u64>,
+    flows: BTreeMap<Ipv4Addr, Flow>,
+}
+
+impl<'a> Eavesdrop<'a> {
+    /// An empty accumulator for the bot at `bot_ip` and its C2s.
+    fn new(bot_ip: Ipv4Addr, c2_ips: impl IntoIterator<Item = Ipv4Addr>) -> Self {
+        Eavesdrop {
+            bot_ip,
+            chunks: c2_ips.into_iter().map(|ip| (ip, Vec::new())).collect(),
+            per_sec: BTreeMap::new(),
+            flows: BTreeMap::new(),
+        }
+    }
+
+    /// Walk a pcap capture's records once, skipping frames that fail a
+    /// wire check; a capture whose global header is bad holds nothing.
+    pub fn from_capture(
+        pcap: &'a [u8],
+        bot_ip: Ipv4Addr,
+        c2_ips: impl IntoIterator<Item = Ipv4Addr>,
+    ) -> Self {
+        let mut ev = Eavesdrop::new(bot_ip, c2_ips);
+        for (ts, frame) in pcap::records(pcap).into_iter().flatten().flatten() {
+            if let Ok(p) = PacketRef::decode_frame(frame) {
+                ev.push(ts, p);
+            }
+        }
+        ev
+    }
+
+    /// Account one captured packet.
+    fn push(&mut self, ts: u64, p: PacketRef<'a>) {
+        if p.dst == self.bot_ip {
+            if let (Some(chunks), TransportRef::Tcp { payload, .. }) =
+                (self.chunks.get_mut(&p.src), p.transport)
+            {
                 if !payload.is_empty() {
-                    c2_chunks.push((*ts, payload.clone()));
+                    chunks.push((ts, payload));
                 }
             }
         }
-    }
-
-    // --- per-second, per-destination packet rates (non-C2 traffic) ---
-    let mut per_sec: BTreeMap<(u64, Ipv4Addr), u64> = BTreeMap::new();
-    for (ts, p) in packets {
-        if p.src == bot_ip && p.dst != c2_ip {
-            *per_sec.entry((ts / 1_000_000, p.dst)).or_insert(0) += 1;
+        if p.src != self.bot_ip {
+            return;
+        }
+        let n = self.per_sec.entry((ts / 1_000_000, p.dst)).or_insert(0);
+        *n += 1;
+        let f = self.flows.entry(p.dst).or_insert(Flow {
+            first: ts,
+            last: ts,
+            latest: ts,
+            peak_pps: 0,
+            syn: 0,
+            udp: 0,
+            icmp: 0,
+            port: 0,
+        });
+        f.last = ts;
+        f.latest = f.latest.max(ts);
+        f.peak_pps = f.peak_pps.max(*n);
+        match p.transport {
+            TransportRef::Tcp { header, .. } => {
+                if header.flags.syn() && !header.flags.ack() {
+                    f.syn += 1;
+                }
+                f.port = header.dst_port;
+            }
+            TransportRef::Udp { header, .. } => {
+                f.udp += 1;
+                f.port = header.dst_port;
+            }
+            TransportRef::Icmp(_) => f.icmp += 1,
         }
     }
-    // Lookup-only (read per command target, never iterated). lint: hash-ok
-    let mut peak_pps: HashMap<Ipv4Addr, u64> = HashMap::new();
-    for ((_, dst), n) in &per_sec {
-        let e = peak_pps.entry(*dst).or_insert(0);
-        *e = (*e).max(*n);
-    }
 
-    let mut out: Vec<ExtractedCommand> = Vec::new();
+    /// The commands of the C2 at `c2_ip` (one of the addresses the
+    /// accumulator was built with). Traffic toward the C2 itself never
+    /// counts as a flood.
+    pub fn commands(
+        &self,
+        c2_ip: Ipv4Addr,
+        family: Option<Family>,
+        pps_threshold: u64,
+    ) -> Vec<ExtractedCommand> {
+        let chunks = self.chunks.get(&c2_ip).map_or(&[][..], Vec::as_slice);
+        let peak_pps = |dst: Ipv4Addr| match self.flows.get(&dst) {
+            Some(f) if dst != c2_ip => f.peak_pps,
+            _ => 0,
+        };
+        let mut out: Vec<ExtractedCommand> = Vec::new();
 
-    // --- method (a): protocol profiler ---
-    if let Some(fam) = family {
-        if fam.has_ddos_profile() {
+        // --- method (a): protocol profiler ---
+        if let Some(fam) = family.filter(|f| f.has_ddos_profile()) {
             let profiler = C2Profiler::new(fam);
-            for (ts, chunk) in &c2_chunks {
+            for &(ts, chunk) in chunks {
                 for command in profiler.extract_commands(chunk) {
                     // Verification: continuous traffic toward the target
                     // after the command.
-                    let flood_after = packets
-                        .iter()
-                        .any(|(t2, p)| t2 > ts && p.src == bot_ip && p.dst == command.target);
-                    let pps = peak_pps.get(&command.target).copied().unwrap_or(0);
+                    let flood_after = self
+                        .flows
+                        .get(&command.target)
+                        .is_some_and(|f| f.latest > ts);
                     out.push(ExtractedCommand {
+                        measured_pps: peak_pps(command.target),
                         command,
                         detection: DdosDetection::Profiler,
                         verified: flood_after,
-                        measured_pps: pps,
-                        ts_micros: *ts,
+                        ts_micros: ts,
                     });
                 }
             }
         }
-    }
 
-    // --- method (b): behavioural heuristic ---
-    for ((sec, dst), _) in per_sec
-        .iter()
-        .filter(|((_, _), n)| **n >= pps_threshold)
-        .take(1024)
-    {
-        // Already covered by the profiler?
-        if let Some(e) = out.iter_mut().find(|e| e.command.target == *dst) {
-            if e.detection == DdosDetection::Profiler {
-                e.detection = DdosDetection::Both;
-            }
-            continue;
-        }
-        // Find the last C2 payload before the flood second.
-        let flood_ts = sec * 1_000_000;
-        let last_cmd = c2_chunks
+        // --- method (b): behavioural heuristic ---
+        let floods = self
+            .per_sec
             .iter()
-            .rev()
-            .find(|(ts, _)| *ts <= flood_ts)
-            .cloned();
-        let Some((cmd_ts, payload)) = last_cmd else {
-            continue;
-        };
-        // Verification: the target must appear (ASCII dotted or raw
-        // big-endian bytes) in that payload.
-        let ascii = dst.to_string();
-        let raw = dst.octets();
-        let mentions = contains(&payload, ascii.as_bytes()) || contains(&payload, &raw);
-        // Characterise the flood from the wire to synthesize the command
-        // (type recovery from traffic shape).
-        let (method, port, dur) = characterize_flood(packets, bot_ip, *dst);
-        out.push(ExtractedCommand {
-            command: AttackCommand {
-                method,
-                target: *dst,
-                port,
-                duration_secs: dur,
-            },
-            detection: DdosDetection::Behavioral,
-            verified: mentions,
-            measured_pps: peak_pps.get(dst).copied().unwrap_or(0),
-            ts_micros: cmd_ts,
-        });
-    }
+            .filter(|(&(_, dst), &n)| dst != c2_ip && n >= pps_threshold)
+            .take(1024);
+        for (&(sec, dst), _) in floods {
+            // Already covered by the profiler?
+            if let Some(e) = out.iter_mut().find(|e| e.command.target == dst) {
+                if e.detection == DdosDetection::Profiler {
+                    e.detection = DdosDetection::Both;
+                }
+                continue;
+            }
+            // Find the last C2 payload before the flood second.
+            let flood_ts = sec * 1_000_000;
+            let Some(&(cmd_ts, payload)) = chunks.iter().rev().find(|(ts, _)| *ts <= flood_ts)
+            else {
+                continue;
+            };
+            // Verification: the target must appear (ASCII dotted or raw
+            // big-endian bytes) in that payload.
+            let mentions =
+                contains(payload, dst.to_string().as_bytes()) || contains(payload, &dst.octets());
+            // Characterise the flood from the wire to synthesize the
+            // command (type recovery from traffic shape). Every per-second
+            // key has its flow.
+            let Some(flow) = self.flows.get(&dst) else {
+                continue;
+            };
+            let (method, port, duration_secs) = flow.shape();
+            out.push(ExtractedCommand {
+                command: AttackCommand {
+                    method,
+                    target: dst,
+                    port,
+                    duration_secs,
+                },
+                detection: DdosDetection::Behavioral,
+                verified: mentions,
+                measured_pps: peak_pps(dst),
+                ts_micros: cmd_ts,
+            });
+        }
 
-    // Deduplicate repeated keepalive-window decodes of one command.
-    out.sort_by_key(|e| (e.ts_micros, e.command.target, e.command.port));
-    out.dedup_by(|a, b| a.command == b.command && a.ts_micros == b.ts_micros);
-    out
+        // Deduplicate repeated keepalive-window decodes of one command.
+        out.sort_by_key(|e| (e.ts_micros, e.command.target, e.command.port));
+        out.dedup_by(|a, b| a.command == b.command && a.ts_micros == b.ts_micros);
+        out
+    }
 }
 
 fn contains(hay: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && hay.windows(needle.len()).any(|w| w == needle)
-}
-
-/// Infer attack type from the flood traffic itself (used when only the
-/// behavioural detector fires, e.g. unknown families).
-fn characterize_flood(
-    packets: &[(u64, Packet)],
-    bot_ip: Ipv4Addr,
-    target: Ipv4Addr,
-) -> (malnet_protocols::AttackMethod, u16, u32) {
-    use malnet_protocols::AttackMethod;
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    let mut syn = 0u64;
-    let mut udp = 0u64;
-    let mut icmp = 0u64;
-    let mut port = 0u16;
-    for (ts, p) in packets {
-        if p.src != bot_ip || p.dst != target {
-            continue;
-        }
-        first.get_or_insert(*ts);
-        last = Some(*ts);
-        match &p.transport {
-            Transport::Tcp { header, .. } => {
-                if header.flags.syn() && !header.flags.ack() {
-                    syn += 1;
-                }
-                port = header.dst_port;
-            }
-            Transport::Udp { header, .. } => {
-                udp += 1;
-                port = header.dst_port;
-            }
-            Transport::Icmp(_) => icmp += 1,
-        }
-    }
-    let dur = match (first, last) {
-        (Some(a), Some(b)) => ((b - a) / 1_000_000) as u32 + 1,
-        _ => 0,
-    };
-    let method = if icmp > syn && icmp > udp {
-        AttackMethod::Blacknurse
-    } else if syn > udp {
-        AttackMethod::SynFlood
-    } else {
-        AttackMethod::UdpFlood
-    };
-    (
-        method,
-        if method == AttackMethod::Blacknurse {
-            0
-        } else {
-            port
-        },
-        dur,
-    )
 }
 
 #[cfg(test)]

@@ -508,9 +508,11 @@ fn run_epoch(
         data: Datasets::default(),
     };
     let mut days = Vec::with_capacity(plans.len());
+    let mut jobs = Vec::new();
     for plan in plans {
-        days.push(run.run_day(plan));
+        days.push(run.run_day(plan, &mut jobs));
     }
+    run.observe_ddos(&jobs, &mut days);
     EpochResult {
         start_day: plans.first().map_or(0, |p| p.day),
         days,
@@ -520,9 +522,10 @@ fn run_epoch(
 }
 
 impl EpochRun<'_> {
-    /// One epoch day: phase A fan-out, then the B1/B2/B3 split from
-    /// PR 5, recording cross-day effects instead of applying them.
-    fn run_day(&mut self, plan: &DayPlan) -> EpochDay {
+    /// One epoch day: phase A fan-out, then phase B1, recording
+    /// cross-day effects instead of applying them and queueing the day's
+    /// restricted sessions on `jobs` for [`EpochRun::observe_ddos`].
+    fn run_day(&mut self, plan: &DayPlan, jobs: &mut Vec<RestrictedJob>) -> EpochDay {
         let tel = self.tel.clone();
         let day = plan.day;
         let day_span = tel.span("pipeline.day");
@@ -549,13 +552,10 @@ impl EpochRun<'_> {
             run_contained_batch(self.world, self.opts, day, &plan.batch, &tel)
         };
         {
-            // Phase B splits in three: B1 replays every world-network
-            // effect in sample-id order on the epoch's day network, B2
-            // fans restricted sessions out over detached per-sample
-            // networks, B3 folds their evidence back in sample-id
-            // order. Only B2 is parallel; B1/B3 own the epoch state.
+            // Phase B1 replays every world-network effect in sample-id
+            // order on the epoch's day network; B2 and B3 run once per
+            // epoch (see `observe_ddos`).
             let _phase_b = tel.span("pipeline.phase_b");
-            let mut jobs: Vec<RestrictedJob> = Vec::new();
             for outcome in outcomes {
                 match outcome {
                     Ok(out) => {
@@ -567,15 +567,27 @@ impl EpochRun<'_> {
                     Err(q) => self.quarantine_sample(day, q, &mut eday),
                 }
             }
-            let sessions = run_restricted_batch(self.world, self.opts, day, &jobs, &tel);
-            for session in sessions {
-                eday.instructions += session.instructions;
-                self.merge_ddos_evidence(day, session);
-            }
         }
         drop(day_span);
         eday.wall_us = watch.elapsed_us();
         eday
+    }
+
+    /// Phases B2 and B3 for the whole epoch: one pool runs every day's
+    /// restricted sessions ([`run_restricted_batch`]), then their
+    /// evidence folds back in (day, sample) order. Each session's
+    /// instructions and host time are credited to its own day, so the
+    /// reduce's heartbeats and a day's rollup `wall_us` (its straggler
+    /// included) read as if the day had run its sessions itself.
+    fn observe_ddos(&mut self, jobs: &[RestrictedJob], days: &mut [EpochDay]) {
+        let _phase_b = self.tel.span("pipeline.phase_b");
+        for session in run_restricted_batch(self.world, self.opts, jobs, &self.tel) {
+            if let Some(eday) = days.iter_mut().find(|d| d.day == session.day) {
+                eday.instructions += session.instructions;
+                eday.wall_us += session.wall_us;
+            }
+            self.merge_ddos_evidence(session);
+        }
     }
 
     /// Phase-B handling of a sample whose phase-A worker panicked: the
@@ -805,6 +817,7 @@ impl EpochRun<'_> {
         // become worker-pool jobs instead of running inline here.
         if activated && !live_c2_ips.is_empty() {
             Some(RestrictedJob {
+                day,
                 sample_id,
                 live: live_c2_ips,
             })
@@ -814,13 +827,15 @@ impl EpochRun<'_> {
     }
 
     /// Phase B3: fold one restricted session's DDoS evidence into the
-    /// epoch's datasets in sample-id order. The duplicate-command gate
-    /// is day-local and a day belongs to exactly one epoch, so the gate
-    /// sees exactly the records the sequential pipeline would have. The
-    /// feed-knowledge flag is provisional (epoch-local knowledge); the
-    /// reduce recomputes it against the merged database.
-    fn merge_ddos_evidence(&mut self, day: u32, session: RestrictedOutcome) {
+    /// epoch's datasets in (day, sample) order. The duplicate-command
+    /// gate is day-local and a day belongs to exactly one epoch, so the
+    /// gate sees exactly the records the sequential pipeline would have.
+    /// The feed-knowledge flag is provisional (epoch-local knowledge,
+    /// which by now includes the epoch's later days); the reduce
+    /// recomputes it against the merged database.
+    fn merge_ddos_evidence(&mut self, session: RestrictedOutcome) {
         let _merge_span = self.tel.span("pipeline.merge");
+        let day = session.day;
         let sample = &self.world.samples[session.sample_id];
         for (addr, ip, fam, cmds) in session.evidence {
             for c in cmds {
@@ -1195,6 +1210,8 @@ fn apply_world_chaos(
 /// phase-B worker pool ([`run_restricted_batch`]).
 #[derive(Debug, Clone)]
 struct RestrictedJob {
+    /// The study day the sample was analysed on.
+    day: u32,
     /// The sample's id in `world.samples`.
     sample_id: usize,
     /// The sample's C2s that answered the day-0 liveness probe:
@@ -1203,13 +1220,18 @@ struct RestrictedJob {
 }
 
 /// Everything one restricted session produced, as plain data the epoch
-/// merges in sample-id order (phase B3).
+/// merges in (day, sample) order (phase B3).
 struct RestrictedOutcome {
+    /// The job's study day.
+    day: u32,
     /// The sample's id in `world.samples`.
     sample_id: usize,
     /// Instructions the restricted run retired (feeds the reduce's
     /// heartbeat reconstruction).
     instructions: u64,
+    /// Host time of the session and its eavesdrop (masked in
+    /// determinism comparisons, like every wall-clock value).
+    wall_us: u64,
     /// Per live C2: `(addr, ip, family, extracted commands)` in the
     /// job's candidate order.
     evidence: Vec<(
@@ -1220,21 +1242,23 @@ struct RestrictedOutcome {
     )>,
 }
 
-/// Phase B2: run every pending restricted session, returning outcomes in
-/// job (= sample-id) order.
+/// Phase B2: run every pending restricted session of an epoch on one
+/// pool, returning outcomes in job (= (day, sample)) order.
 ///
 /// Each session runs against its **own detached network** built by
 /// [`World::network_for_day_detached`] from a [`SeedStream::RestrictedNet`]
-/// sub-seed: same topology and day as the epoch's day network, but
-/// private RNG state and private C2 responsiveness chains, so one
+/// sub-seed: same topology as the epoch's network for the job's day,
+/// but private RNG state and private C2 responsiveness chains, so one
 /// session's traffic can never perturb another's — the property that
 /// makes the fan-out byte-deterministic (DESIGN.md §8). The day's fault
 /// plan is re-applied to every detached network so chaos runs see
-/// identical outage windows on both sides of the split.
+/// identical outage windows on both sides of the split. The session's
+/// pcap is the evidence of record: one [`ddos::Eavesdrop`] walk over its
+/// records serves every live C2, and the bytes are dropped before the
+/// worker takes its next job.
 fn run_restricted_batch(
     world: &World,
     opts: &PipelineOpts,
-    day: u32,
     jobs: &[RestrictedJob],
     tel: &Telemetry,
 ) -> Vec<RestrictedOutcome> {
@@ -1247,17 +1271,22 @@ fn run_restricted_batch(
         jobs.len(),
         opts.parallelism,
         |i| {
-            let job = &jobs[i];
+            let RestrictedJob {
+                day,
+                sample_id,
+                ref live,
+            } = jobs[i];
+            let watch = tel.stopwatch();
             let session = {
                 let _span = tel.span_under("pipeline.restricted_session", &parent);
                 tel.add("pipeline.restricted_sessions", 1);
                 let (mut net, _logs) = world.network_for_day_detached(
                     day,
-                    sample_seed(opts.seed, day, job.sample_id, SeedStream::RestrictedNet),
+                    sample_seed(opts.seed, day, sample_id, SeedStream::RestrictedNet),
                 );
                 net.set_telemetry(tel);
                 apply_world_chaos(&opts.faults, world, &mut net, day, tel);
-                let mut allowed: Vec<Ipv4Addr> = job.live.iter().map(|(_, ip, _, _)| *ip).collect();
+                let mut allowed: Vec<Ipv4Addr> = live.iter().map(|(_, ip, _, _)| *ip).collect();
                 allowed.push(malnet_botgen::world::WORLD_RESOLVER);
                 let mut sb = Sandbox::new(
                     net,
@@ -1266,7 +1295,7 @@ fn run_restricted_batch(
                         mode: AnalysisMode::Restricted { allowed },
                         handshaker_threshold: None,
                         instruction_budget: 2_000_000_000,
-                        seed: sample_seed(opts.seed, day, job.sample_id, SeedStream::Restricted),
+                        seed: sample_seed(opts.seed, day, sample_id, SeedStream::Restricted),
                         block_engine: opts.block_engine,
                         // Emulator faults target the contained run only;
                         // restricted sessions keep the honest fd cap.
@@ -1276,32 +1305,39 @@ fn run_restricted_batch(
                 )
                 .with_telemetry(tel);
                 sb.execute(
-                    &world.samples[job.sample_id].elf,
+                    &world.samples[sample_id].elf,
                     SimDuration::from_secs(opts.restricted_secs),
                 )
             };
             let _eavesdrop_span = tel.span_under("pipeline.ddos_eavesdrop", &parent);
-            let packets = session.packets();
-            let evidence = job
-                .live
+            let ev = ddos::Eavesdrop::from_capture(
+                &session.pcap,
+                BOT_IP,
+                live.iter().map(|(_, ip, _, _)| *ip),
+            );
+            let evidence = live
                 .iter()
                 .map(|(addr, ip, _port, fam)| {
-                    let cmds = ddos::extract(&packets, BOT_IP, *ip, *fam, opts.pps_threshold);
+                    let cmds = ev.commands(*ip, *fam, opts.pps_threshold);
                     tel.add("pipeline.ddos_commands_seen", cmds.len() as u64);
                     (addr.clone(), *ip, *fam, cmds)
                 })
                 .collect();
             RestrictedOutcome {
-                sample_id: job.sample_id,
+                day,
+                sample_id,
                 instructions: session.instructions,
+                wall_us: watch.elapsed_us(),
                 evidence,
             }
         },
         // Unreachable short of a harness bug (see `fan_out`): degrade to
         // "session produced nothing" rather than aborting the study.
         |i| RestrictedOutcome {
+            day: jobs[i].day,
             sample_id: jobs[i].sample_id,
             instructions: 0,
+            wall_us: 0,
             evidence: Vec::new(),
         },
     )

@@ -21,7 +21,8 @@ use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_prng::sub_seed;
 use malnet_sandbox::{AnalysisMode, Sandbox, SandboxConfig};
 use malnet_telemetry::{Field as EventField, SpanCtx, Telemetry};
-use malnet_wire::packet::Transport;
+use malnet_wire::packet::{PacketRef, TransportRef};
+use malnet_wire::pcap;
 
 use crate::datasets::ProbedC2;
 
@@ -334,11 +335,7 @@ fn probe_round(
         );
         let art = sb.execute(elf, SimDuration::from_secs(cfg.engage_secs));
         net = sb.into_network();
-        // Engagement: any application payload back from the target.
-        let engaged = art.packets().iter().any(|(_, p)| {
-            p.src == ip
-                && matches!(&p.transport, Transport::Tcp { payload, .. } if !payload.is_empty())
-        });
+        let engaged = answered(&art.pcap, ip);
         if engaged {
             tel.add("prober.engagements", 1);
         }
@@ -351,10 +348,60 @@ fn probe_round(
     }
 }
 
+/// Engagement: did the target at `ip` send any TCP application payload
+/// back? Walks the capture's records with the borrowed decode. A capture
+/// whose framing is broken anywhere counts as no packets at all.
+fn answered(capture: &[u8], ip: Ipv4Addr) -> bool {
+    let payload_from_ip = |frame: &[u8]| {
+        PacketRef::decode_frame(frame).is_ok_and(|p| {
+            p.src == ip
+                && matches!(p.transport, TransportRef::Tcp { payload, .. } if !payload.is_empty())
+        })
+    };
+    pcap::records(capture)
+        .and_then(|mut records| {
+            records.try_fold(false, |hit, rec| {
+                let (_, frame) = rec?;
+                Ok(hit || payload_from_ip(frame))
+            })
+        })
+        .unwrap_or(false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use malnet_botgen::world::{Calibration, WorldConfig};
+    use malnet_wire::packet::Packet;
+    use malnet_wire::tcp::TcpFlags;
+
+    /// Engagement needs a TCP payload from the target itself, and a
+    /// capture cut short anywhere counts as no packets at all.
+    #[test]
+    fn engagement_needs_target_payload_and_intact_framing() {
+        let (bot, target) = (Ipv4Addr::new(100, 64, 0, 2), Ipv4Addr::new(10, 9, 0, 1));
+        let reply = |src, payload: &[u8]| {
+            Packet::tcp(
+                src,
+                23,
+                bot,
+                40000,
+                1,
+                1,
+                TcpFlags::PSH_ACK,
+                payload.to_vec(),
+            )
+        };
+        let capture = pcap::to_bytes(&[
+            (1, reply(target, b"")),
+            (2, reply(target, b"login:")),
+            (3, reply(Ipv4Addr::new(10, 9, 0, 2), b"banner")),
+        ]);
+        assert!(answered(&capture, target));
+        assert!(!answered(&capture, Ipv4Addr::new(10, 9, 0, 3)));
+        assert!(!answered(&capture[..capture.len() - 1], target));
+        assert!(!answered(&capture[..10], target));
+    }
 
     /// A reduced probing study: 2 days × 6 rounds over thin subnets.
     #[test]

@@ -24,7 +24,7 @@ use std::net::Ipv4Addr;
 use malnet_prng::rngs::StdRng;
 use malnet_prng::{Rng, SeedableRng};
 
-use malnet_wire::Packet;
+use malnet_wire::{Packet, PcapWriter};
 
 use crate::stack::{HostStack, SockEvent, SockId};
 use crate::time::{SimDuration, SimTime};
@@ -176,7 +176,7 @@ struct HostEntry {
     stack: HostStack,
     driver: Driver,
     up: bool,
-    capture: Option<Vec<(u64, Packet)>>,
+    capture: Option<PcapWriter<Vec<u8>>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,6 +264,8 @@ pub struct Network {
 /// `None` inside, so the per-packet cost without telemetry is one branch.
 #[derive(Debug, Clone, Default)]
 struct NetTelemetry {
+    /// The handle itself: capture taps count their pcap records into it.
+    handle: malnet_telemetry::Telemetry,
     delivered: malnet_telemetry::Counter,
     dropped: malnet_telemetry::Counter,
     dns_queries: malnet_telemetry::Counter,
@@ -274,6 +276,7 @@ struct NetTelemetry {
 impl NetTelemetry {
     fn resolve(tel: &malnet_telemetry::Telemetry) -> Self {
         NetTelemetry {
+            handle: tel.clone(),
             delivered: tel.counter("netsim.packets_delivered"),
             dropped: tel.counter("netsim.packets_dropped"),
             dns_queries: tel.counter("netsim.dns_queries"),
@@ -423,39 +426,33 @@ impl Network {
     }
 
     /// Enable packet capture on a host; all packets sent or received by
-    /// `ip` from now on are recorded.
+    /// `ip` from now on are written to an in-memory pcap as they pass,
+    /// counted into the network's telemetry (`wire.pcap_*`).
     pub fn start_capture(&mut self, ip: Ipv4Addr) {
+        let tel = self.tel.handle.clone();
         if let Some(h) = self.hosts.get_mut(&ip) {
-            h.capture = Some(Vec::new());
+            // io::Write on Vec<u8> is infallible.
+            h.capture = Some(PcapWriter::with_telemetry(Vec::new(), &tel).expect("vec write"));
         }
     }
 
-    /// Stop capturing and return the recorded (timestamp µs, packet) list.
-    pub fn stop_capture(&mut self, ip: Ipv4Addr) -> Vec<(u64, Packet)> {
+    /// Stop capturing and return the pcap bytes recorded since
+    /// [`Network::start_capture`] (empty when no capture was running).
+    pub fn stop_capture(&mut self, ip: Ipv4Addr) -> Vec<u8> {
         self.hosts
             .get_mut(&ip)
             .and_then(|h| h.capture.take())
+            // io::Write on Vec<u8> is infallible.
+            .map(|w| w.finish().expect("vec flush"))
             .unwrap_or_default()
     }
 
-    /// Peek at a running capture without stopping it.
-    pub fn capture_len(&self, ip: Ipv4Addr) -> usize {
-        self.hosts
-            .get(&ip)
-            .and_then(|h| h.capture.as_ref())
-            .map(|c| c.len())
-            .unwrap_or(0)
-    }
-
+    /// Append `pkt` to `ip`'s capture, when capture is on.
     fn record(&mut self, ip: Ipv4Addr, ts: SimTime, pkt: &Packet) {
-        if let Some(cap) = self.tap(ip) {
-            cap.push((ts.as_micros(), pkt.clone()));
+        if let Some(cap) = self.hosts.get_mut(&ip).and_then(|h| h.capture.as_mut()) {
+            // io::Write on Vec<u8> is infallible.
+            cap.write(ts.as_micros(), pkt).expect("vec write");
         }
-    }
-
-    /// The capture buffer of `ip`'s host, when capture is on.
-    fn tap(&mut self, ip: Ipv4Addr) -> Option<&mut Vec<(u64, Packet)>> {
-        self.hosts.get_mut(&ip).and_then(|h| h.capture.as_mut())
     }
 
     /// Deterministic per-pair latency: base + hash-derived jitter. The
@@ -482,11 +479,8 @@ impl Network {
             if !filter(self.now, &pkt) {
                 // Contained by the egress filter; still visible on the
                 // sender's tap (the IDS sits at the network perimeter).
-                // The packet goes no further, so the tap takes it whole.
-                let at = self.now.as_micros();
-                if let Some(cap) = self.tap(pkt.src) {
-                    cap.push((at, pkt));
-                }
+                let now = self.now;
+                self.record(pkt.src, now, &pkt);
                 return;
             }
         }
@@ -922,7 +916,8 @@ mod tests {
         net.run_for(SimDuration::from_secs(1));
         net.ext_tcp_send(A, sock, b"x");
         net.run_for(SimDuration::from_secs(1));
-        let cap = net.stop_capture(A);
+        let (cap, skipped) = malnet_wire::pcap::parse_capture(&net.stop_capture(A)).unwrap();
+        assert_eq!(skipped, 0);
         // SYN, SYN-ACK, ACK, data, ack, reply data, ack ≥ 6 packets.
         assert!(cap.len() >= 6, "capture too small: {}", cap.len());
         let to_b = cap.iter().filter(|(_, p)| p.dst == B).count();

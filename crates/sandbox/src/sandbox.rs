@@ -196,8 +196,8 @@ const _: () = {
 
 impl Sandbox {
     /// Wrap an existing network (which may already contain world hosts).
-    /// Installs the fake resolver, the bot's host entry, and the capture
-    /// tap.
+    /// Installs the fake resolver and the bot's host entry; each
+    /// [`Sandbox::execute`] runs its own capture tap.
     pub fn new(mut net: Network, cfg: SandboxConfig) -> Self {
         let dns_names = Arc::new(Mutex::new(Vec::new()));
         if !net.has_host(FAKE_RESOLVER) {
@@ -209,7 +209,6 @@ impl Sandbox {
         if !net.has_host(cfg.bot_ip) {
             net.add_external_host(cfg.bot_ip);
         }
-        net.start_capture(cfg.bot_ip);
         let mut sb = Sandbox {
             net,
             cfg,
@@ -226,8 +225,8 @@ impl Sandbox {
     }
 
     /// Attach a telemetry handle: `sandbox.exec` spans, instruction /
-    /// syscall / exploit counters, and the wrapped network's packet
-    /// counters all record into it. Telemetry never feeds back into the
+    /// syscall / exploit counters, and the wrapped network's packet and
+    /// capture (`wire.pcap_*`) counters all record into it. Telemetry never feeds back into the
     /// run (no RNG draws, no virtual-clock reads), so an instrumented
     /// sandbox produces byte-identical artifacts.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
@@ -331,6 +330,9 @@ impl Sandbox {
     /// runs on one network advance through the study day.
     pub fn execute(&mut self, elf_bytes: &[u8], duration: SimDuration) -> Artifacts {
         let _span = self.tel.span("sandbox.exec");
+        // The tap writes pcap records as it captures; the bytes it hands
+        // back are the artifact, never re-encoded.
+        self.net.start_capture(self.cfg.bot_ip);
         let deadline = self.net.now() + duration;
         let pcfg = ProcessConfig {
             bot_ip: self.cfg.bot_ip,
@@ -364,17 +366,7 @@ impl Sandbox {
         // span's wall time instead.
         // Let in-flight packets land so captures include trailing ACKs.
         self.net.run_for(SimDuration::from_millis(500));
-        let cap = self.net.stop_capture(self.cfg.bot_ip);
-        self.net.start_capture(self.cfg.bot_ip);
-        let mut pcap_bytes = Vec::new();
-        {
-            let mut w =
-                pcap::PcapWriter::with_telemetry(&mut pcap_bytes, &self.tel).expect("vec write");
-            for (ts, pkt) in &cap {
-                w.write(*ts, pkt).expect("vec write");
-            }
-            let _ = w.finish().expect("flush");
-        }
+        let pcap = self.net.stop_capture(self.cfg.bot_ip);
         let exploits: Vec<CapturedExploit> = self
             .victim_log
             .lock()
@@ -398,7 +390,7 @@ impl Sandbox {
         self.tel_handles.exploits.add(exploits.len() as u64);
         Artifacts {
             exit,
-            pcap: pcap_bytes,
+            pcap,
             exploits,
             dns_queries,
             instructions,
@@ -411,7 +403,6 @@ impl Sandbox {
     /// intact) to the caller.
     pub fn into_network(mut self) -> Network {
         self.net.clear_egress_filter();
-        let _ = self.net.stop_capture(self.cfg.bot_ip);
         self.net.remove_host(self.cfg.bot_ip);
         self.net
     }

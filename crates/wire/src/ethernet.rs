@@ -71,28 +71,35 @@ impl EthernetFrame {
         out
     }
 
-    /// Parse from wire bytes.
+    /// Parse from wire bytes, copying the payload out of [`split`].
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated {
-                layer: "ethernet",
-                needed: HEADER_LEN,
-                got: data.len(),
-            });
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        src.copy_from_slice(&data[6..12]);
-        let ethertype = u16::from_be_bytes([data[12], data[13]]).into();
+        let (dst, src, ethertype, payload) = split(data)?;
         Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
+            dst,
+            src,
             ethertype,
-            // Guarded: len >= HEADER_LEN checked on entry. lint: index-ok
-            payload: data[HEADER_LEN..].to_vec(),
+            payload: payload.to_vec(),
         })
     }
+}
+
+/// Split a frame into `(dst, src, ethertype, payload)` without copying:
+/// the one place the header length is checked.
+pub fn split(data: &[u8]) -> Result<(MacAddr, MacAddr, EtherType, &[u8]), WireError> {
+    if data.len() < HEADER_LEN {
+        return Err(WireError::Truncated {
+            layer: "ethernet",
+            needed: HEADER_LEN,
+            got: data.len(),
+        });
+    }
+    let mut dst = [0u8; 6];
+    let mut src = [0u8; 6];
+    dst.copy_from_slice(&data[0..6]);
+    src.copy_from_slice(&data[6..12]);
+    let ethertype = u16::from_be_bytes([data[12], data[13]]).into();
+    // Guarded: len >= HEADER_LEN checked on entry. lint: index-ok
+    Ok((MacAddr(dst), MacAddr(src), ethertype, &data[HEADER_LEN..]))
 }
 
 #[cfg(test)]

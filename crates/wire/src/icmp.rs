@@ -105,8 +105,56 @@ impl IcmpMessage {
         out
     }
 
-    /// Parse from wire bytes, verifying the checksum.
+    /// Parse from wire bytes, verifying the checksum (the checks live in
+    /// [`IcmpRef::decode`]; this copies the payload out).
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
+        IcmpRef::decode(data).map(|m| m.to_message())
+    }
+}
+
+/// A decoded ICMP message borrowing its payload from the wire bytes:
+/// the zero-copy twin of [`IcmpMessage`], variant for variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IcmpRef<'a> {
+    /// Echo request (type 8).
+    EchoRequest {
+        /// Identifier.
+        ident: u16,
+        /// Sequence number.
+        seq: u16,
+        /// Echo payload.
+        payload: &'a [u8],
+    },
+    /// Echo reply (type 0).
+    EchoReply {
+        /// Identifier.
+        ident: u16,
+        /// Sequence number.
+        seq: u16,
+        /// Echo payload.
+        payload: &'a [u8],
+    },
+    /// Destination unreachable (type 3).
+    DestinationUnreachable {
+        /// Unreachable code.
+        code: u8,
+        /// Original datagram excerpt.
+        payload: &'a [u8],
+    },
+    /// Any other ICMP type.
+    Other {
+        /// ICMP type.
+        icmp_type: u8,
+        /// ICMP code.
+        code: u8,
+        /// Rest-of-header plus payload bytes.
+        payload: &'a [u8],
+    },
+}
+
+impl<'a> IcmpRef<'a> {
+    /// Parse from wire bytes, verifying the checksum.
+    pub fn decode(data: &'a [u8]) -> Result<Self, WireError> {
         if data.len() < 4 {
             return Err(WireError::Truncated {
                 layer: "icmp",
@@ -119,50 +167,120 @@ impl IcmpMessage {
         }
         let icmp_type = data[0];
         let code = data[1];
-        match icmp_type {
+        let body = || {
+            data.get(HEADER_LEN..).ok_or(WireError::Truncated {
+                layer: "icmp",
+                needed: HEADER_LEN,
+                got: data.len(),
+            })
+        };
+        Ok(match icmp_type {
             0 | 8 => {
-                if data.len() < HEADER_LEN {
-                    return Err(WireError::Truncated {
-                        layer: "icmp",
-                        needed: HEADER_LEN,
-                        got: data.len(),
-                    });
-                }
+                let payload = body()?;
                 let ident = u16::from_be_bytes([data[4], data[5]]);
                 let seq = u16::from_be_bytes([data[6], data[7]]);
-                let payload = data[8..].to_vec();
-                Ok(if icmp_type == 8 {
-                    IcmpMessage::EchoRequest {
+                if icmp_type == 8 {
+                    IcmpRef::EchoRequest {
                         ident,
                         seq,
                         payload,
                     }
                 } else {
-                    IcmpMessage::EchoReply {
+                    IcmpRef::EchoReply {
                         ident,
                         seq,
                         payload,
                     }
-                })
-            }
-            3 => {
-                if data.len() < HEADER_LEN {
-                    return Err(WireError::Truncated {
-                        layer: "icmp",
-                        needed: HEADER_LEN,
-                        got: data.len(),
-                    });
                 }
-                Ok(IcmpMessage::DestinationUnreachable {
-                    code,
-                    payload: data[8..].to_vec(),
-                })
             }
-            _ => Ok(IcmpMessage::Other {
+            3 => IcmpRef::DestinationUnreachable {
+                code,
+                payload: body()?,
+            },
+            _ => IcmpRef::Other {
                 icmp_type,
                 code,
-                payload: data[4..].to_vec(),
-            }),
+                payload: &data[4..],
+            },
+        })
+    }
+
+    /// Copy into an owned [`IcmpMessage`].
+    pub fn to_message(self) -> IcmpMessage {
+        match self {
+            IcmpRef::EchoRequest {
+                ident,
+                seq,
+                payload,
+            } => IcmpMessage::EchoRequest {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            IcmpRef::EchoReply {
+                ident,
+                seq,
+                payload,
+            } => IcmpMessage::EchoReply {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            IcmpRef::DestinationUnreachable { code, payload } => {
+                IcmpMessage::DestinationUnreachable {
+                    code,
+                    payload: payload.to_vec(),
+                }
+            }
+            IcmpRef::Other {
+                icmp_type,
+                code,
+                payload,
+            } => IcmpMessage::Other {
+                icmp_type,
+                code,
+                payload: payload.to_vec(),
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a IcmpMessage> for IcmpRef<'a> {
+    fn from(m: &'a IcmpMessage) -> Self {
+        match m {
+            IcmpMessage::EchoRequest {
+                ident,
+                seq,
+                payload,
+            } => IcmpRef::EchoRequest {
+                ident: *ident,
+                seq: *seq,
+                payload,
+            },
+            IcmpMessage::EchoReply {
+                ident,
+                seq,
+                payload,
+            } => IcmpRef::EchoReply {
+                ident: *ident,
+                seq: *seq,
+                payload,
+            },
+            IcmpMessage::DestinationUnreachable { code, payload } => {
+                IcmpRef::DestinationUnreachable {
+                    code: *code,
+                    payload,
+                }
+            }
+            IcmpMessage::Other {
+                icmp_type,
+                code,
+                payload,
+            } => IcmpRef::Other {
+                icmp_type: *icmp_type,
+                code: *code,
+                payload,
+            },
         }
     }
 }

@@ -38,10 +38,10 @@ pub mod udp;
 
 pub use error::WireError;
 pub use ethernet::{EtherType, EthernetFrame};
-pub use icmp::IcmpMessage;
+pub use icmp::{IcmpMessage, IcmpRef};
 pub use ipv4::{IpProtocol, Ipv4Header};
 pub use mac::MacAddr;
-pub use packet::{Packet, Transport};
+pub use packet::{Packet, PacketRef, Transport, TransportRef};
 pub use pcap::{PcapPacket, PcapReader, PcapWriter};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

@@ -11,8 +11,8 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::error::WireError;
-use crate::ethernet::{EtherType, EthernetFrame};
-use crate::icmp::IcmpMessage;
+use crate::ethernet::{self, EtherType, EthernetFrame};
+use crate::icmp::{IcmpMessage, IcmpRef};
 use crate::ipv4::{IpProtocol, Ipv4Header};
 use crate::mac::MacAddr;
 use crate::tcp::{TcpFlags, TcpHeader};
@@ -187,52 +187,15 @@ impl Packet {
         EthernetFrame::ipv4(dst_mac, src_mac, self.encode_ipv4()).encode()
     }
 
-    /// Parse from a raw IPv4 datagram.
+    /// Parse from a raw IPv4 datagram (see [`PacketRef::decode_ipv4`]).
     pub fn decode_ipv4(data: &[u8]) -> Result<Self, WireError> {
-        let (hdr, payload) = Ipv4Header::decode(data)?;
-        let transport = match hdr.protocol {
-            IpProtocol::Tcp => {
-                let (th, tp) = TcpHeader::decode(hdr.src, hdr.dst, payload)?;
-                Transport::Tcp {
-                    header: th,
-                    payload: tp.to_vec(),
-                }
-            }
-            IpProtocol::Udp => {
-                let (uh, up) = UdpHeader::decode(hdr.src, hdr.dst, payload)?;
-                Transport::Udp {
-                    header: uh,
-                    payload: up.to_vec(),
-                }
-            }
-            IpProtocol::Icmp => Transport::Icmp(IcmpMessage::decode(payload)?),
-            IpProtocol::Other(v) => {
-                return Err(WireError::Unsupported {
-                    layer: "ipv4",
-                    what: "protocol",
-                    value: u64::from(v),
-                })
-            }
-        };
-        Ok(Packet {
-            src: hdr.src,
-            dst: hdr.dst,
-            ttl: hdr.ttl,
-            transport,
-        })
+        PacketRef::decode_ipv4(data).map(|p| p.to_packet())
     }
 
-    /// Parse from a complete Ethernet frame.
+    /// Parse from a complete Ethernet frame (see
+    /// [`PacketRef::decode_frame`]).
     pub fn decode_frame(data: &[u8]) -> Result<Self, WireError> {
-        let frame = EthernetFrame::decode(data)?;
-        match frame.ethertype {
-            EtherType::Ipv4 => Self::decode_ipv4(&frame.payload),
-            other => Err(WireError::Unsupported {
-                layer: "ethernet",
-                what: "ethertype",
-                value: u64::from(u16::from(other)),
-            }),
-        }
+        PacketRef::decode_frame(data).map(|p| p.to_packet())
     }
 
     /// A compact one-line rendering, used by traffic logs in examples.
@@ -265,6 +228,130 @@ impl Packet {
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.summary())
+    }
+}
+
+/// The transport content of a [`PacketRef`], payloads borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransportRef<'a> {
+    /// A TCP segment.
+    Tcp {
+        /// TCP header.
+        header: TcpHeader,
+        /// Segment payload.
+        payload: &'a [u8],
+    },
+    /// A UDP datagram.
+    Udp {
+        /// UDP header.
+        header: UdpHeader,
+        /// Datagram payload.
+        payload: &'a [u8],
+    },
+    /// An ICMP message.
+    Icmp(IcmpRef<'a>),
+}
+
+/// A [`Packet`] decoded in place: the same fields, with payloads
+/// borrowed from the frame bytes. This is the crate's one frame
+/// decoder — [`Packet::decode_frame`] copies its result — so analyses
+/// that walk a whole capture ([`crate::pcap::records`]) never copy a
+/// payload they do not keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketRef<'a> {
+    /// Source IP address.
+    pub src: Ipv4Addr,
+    /// Destination IP address.
+    pub dst: Ipv4Addr,
+    /// TTL.
+    pub ttl: u8,
+    /// Transport content.
+    pub transport: TransportRef<'a>,
+}
+
+impl<'a> PacketRef<'a> {
+    /// Parse from a raw IPv4 datagram, verifying every header checksum.
+    pub fn decode_ipv4(data: &'a [u8]) -> Result<Self, WireError> {
+        let (hdr, payload) = Ipv4Header::decode(data)?;
+        let transport = match hdr.protocol {
+            IpProtocol::Tcp => {
+                let (header, payload) = TcpHeader::decode(hdr.src, hdr.dst, payload)?;
+                TransportRef::Tcp { header, payload }
+            }
+            IpProtocol::Udp => {
+                let (header, payload) = UdpHeader::decode(hdr.src, hdr.dst, payload)?;
+                TransportRef::Udp { header, payload }
+            }
+            IpProtocol::Icmp => TransportRef::Icmp(IcmpRef::decode(payload)?),
+            IpProtocol::Other(v) => {
+                return Err(WireError::Unsupported {
+                    layer: "ipv4",
+                    what: "protocol",
+                    value: u64::from(v),
+                })
+            }
+        };
+        Ok(PacketRef {
+            src: hdr.src,
+            dst: hdr.dst,
+            ttl: hdr.ttl,
+            transport,
+        })
+    }
+
+    /// Parse from a complete Ethernet frame; only IPv4 is accepted.
+    pub fn decode_frame(data: &'a [u8]) -> Result<Self, WireError> {
+        match ethernet::split(data)? {
+            (_, _, EtherType::Ipv4, payload) => Self::decode_ipv4(payload),
+            (_, _, other, _) => Err(WireError::Unsupported {
+                layer: "ethernet",
+                what: "ethertype",
+                value: u64::from(u16::from(other)),
+            }),
+        }
+    }
+
+    /// Copy into an owned [`Packet`].
+    pub fn to_packet(&self) -> Packet {
+        let transport = match self.transport {
+            TransportRef::Tcp { header, payload } => Transport::Tcp {
+                header,
+                payload: payload.to_vec(),
+            },
+            TransportRef::Udp { header, payload } => Transport::Udp {
+                header,
+                payload: payload.to_vec(),
+            },
+            TransportRef::Icmp(msg) => Transport::Icmp(msg.to_message()),
+        };
+        Packet {
+            src: self.src,
+            dst: self.dst,
+            ttl: self.ttl,
+            transport,
+        }
+    }
+}
+
+impl<'a> From<&'a Packet> for PacketRef<'a> {
+    fn from(p: &'a Packet) -> Self {
+        let transport = match &p.transport {
+            Transport::Tcp { header, payload } => TransportRef::Tcp {
+                header: *header,
+                payload,
+            },
+            Transport::Udp { header, payload } => TransportRef::Udp {
+                header: *header,
+                payload,
+            },
+            Transport::Icmp(msg) => TransportRef::Icmp(msg.into()),
+        };
+        PacketRef {
+            src: p.src,
+            dst: p.dst,
+            ttl: p.ttl,
+            transport,
+        }
     }
 }
 

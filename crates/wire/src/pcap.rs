@@ -11,7 +11,7 @@ use std::io::{self, Read, Write};
 use malnet_telemetry::Telemetry;
 
 use crate::error::WireError;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketRef};
 
 /// Little-endian magic for microsecond timestamps.
 pub const MAGIC_LE: u32 = 0xa1b2c3d4;
@@ -121,6 +121,57 @@ pub fn to_bytes(packets: &[(u64, Packet)]) -> Vec<u8> {
     w.finish().expect("vec flush cannot fail")
 }
 
+/// Parse the 24-byte global header: `Ok(swapped)` for a supported
+/// capture (either byte order, Ethernet link type).
+fn global_header(hdr: &[u8; 24]) -> Result<bool, WireError> {
+    let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
+    let swapped = match magic {
+        MAGIC_LE => false,
+        m if m == MAGIC_LE.swap_bytes() => true,
+        m => {
+            return Err(WireError::Unsupported {
+                layer: "pcap",
+                what: "magic",
+                value: u64::from(m),
+            })
+        }
+    };
+    let linktype = u32_at(hdr, 20, swapped);
+    if linktype != LINKTYPE_ETHERNET {
+        return Err(WireError::Unsupported {
+            layer: "pcap",
+            what: "linktype",
+            value: u64::from(linktype),
+        });
+    }
+    Ok(swapped)
+}
+
+/// Parse a 16-byte record header into `(ts_micros, caplen)`.
+fn record_header(rec: &[u8; 16], swapped: bool) -> Result<(u64, usize), WireError> {
+    let secs = u32_at(rec, 0, swapped);
+    let micros = u32_at(rec, 4, swapped);
+    let caplen = u32_at(rec, 8, swapped) as usize;
+    if caplen > SNAPLEN as usize {
+        return Err(WireError::Malformed {
+            layer: "pcap",
+            what: "caplen exceeds snaplen",
+        });
+    }
+    Ok((u64::from(secs) * 1_000_000 + u64::from(micros), caplen))
+}
+
+/// The header word at byte `i` of a fixed-size header.
+fn u32_at<const N: usize>(b: &[u8; N], i: usize, swapped: bool) -> u32 {
+    // Fixed-size header arrays; callers pass i <= N - 4. lint: index-ok
+    let v = [b[i], b[i + 1], b[i + 2], b[i + 3]];
+    if swapped {
+        u32::from_be_bytes(v)
+    } else {
+        u32::from_le_bytes(v)
+    }
+}
+
 /// Streaming pcap reader, handling both byte orders.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
@@ -134,40 +185,12 @@ impl<R: Read> PcapReader<R> {
     /// Open a capture, parsing the global header.
     pub fn new(mut inner: R) -> Result<Self, WireError> {
         let mut hdr = [0u8; 24];
-        read_exact(&mut inner, &mut hdr, "pcap global header")?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_LE => false,
-            m if m == MAGIC_LE.swap_bytes() => true,
-            m => {
-                return Err(WireError::Unsupported {
-                    layer: "pcap",
-                    what: "magic",
-                    value: u64::from(m),
-                })
-            }
-        };
-        let u32_at = |b: &[u8; 24], i: usize| {
-            // Fixed 24-byte array; callers pass i <= 20. lint: index-ok
-            let v = [b[i], b[i + 1], b[i + 2], b[i + 3]];
-            if swapped {
-                u32::from_be_bytes(v)
-            } else {
-                u32::from_le_bytes(v)
-            }
-        };
-        let linktype = u32_at(&hdr, 20);
-        if linktype != LINKTYPE_ETHERNET {
-            return Err(WireError::Unsupported {
-                layer: "pcap",
-                what: "linktype",
-                value: u64::from(linktype),
-            });
-        }
+        read_exact(&mut inner, &mut hdr)?;
+        let swapped = global_header(&hdr)?;
         Ok(PcapReader {
             inner,
             swapped,
-            linktype,
+            linktype: LINKTYPE_ETHERNET,
         })
     }
 
@@ -185,31 +208,11 @@ impl<R: Read> PcapReader<R> {
                 })
             }
         }
-        read_exact(&mut self.inner, &mut rec[1..], "pcap record header")?;
-        let u32_at = |b: &[u8; 16], i: usize| {
-            // Fixed 16-byte array; callers pass i <= 12. lint: index-ok
-            let v = [b[i], b[i + 1], b[i + 2], b[i + 3]];
-            if self.swapped {
-                u32::from_be_bytes(v)
-            } else {
-                u32::from_le_bytes(v)
-            }
-        };
-        let secs = u32_at(&rec, 0);
-        let micros = u32_at(&rec, 4);
-        let caplen = u32_at(&rec, 8) as usize;
-        if caplen > SNAPLEN as usize {
-            return Err(WireError::Malformed {
-                layer: "pcap",
-                what: "caplen exceeds snaplen",
-            });
-        }
+        read_exact(&mut self.inner, &mut rec[1..])?;
+        let (ts_micros, caplen) = record_header(&rec, self.swapped)?;
         let mut frame = vec![0u8; caplen];
-        read_exact(&mut self.inner, &mut frame, "pcap packet data")?;
-        Ok(Some(PcapPacket {
-            ts_micros: u64::from(secs) * 1_000_000 + u64::from(micros),
-            frame,
-        }))
+        read_exact(&mut self.inner, &mut frame)?;
+        Ok(Some(PcapPacket { ts_micros, frame }))
     }
 
     /// Collect all remaining packets.
@@ -222,29 +225,85 @@ impl<R: Read> PcapReader<R> {
     }
 }
 
+/// Zero-copy walk over the records of a capture held in memory; see
+/// [`records`].
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    rest: &'a [u8],
+    swapped: bool,
+}
+
+/// Walk a capture held in memory record by record, yielding
+/// `(ts_micros, frame)` with the frame borrowed from `bytes`. A bad
+/// global header is the error here; a record cut short or claiming more
+/// than the snap length is yielded as one `Err`, after which the walk
+/// ends.
+pub fn records(bytes: &[u8]) -> Result<Records<'_>, WireError> {
+    let (hdr, rest) = bytes
+        .split_first_chunk::<24>()
+        .ok_or(WireError::Truncated {
+            layer: "pcap",
+            needed: 24,
+            got: bytes.len(),
+        })?;
+    let swapped = global_header(hdr)?;
+    Ok(Records { rest, swapped })
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Result<(u64, &'a [u8]), WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let rest = std::mem::take(&mut self.rest);
+        let Some((rec, body)) = rest.split_first_chunk::<16>() else {
+            return Some(Err(WireError::Truncated {
+                layer: "pcap",
+                needed: 16,
+                got: rest.len(),
+            }));
+        };
+        let (ts, caplen) = match record_header(rec, self.swapped) {
+            Ok(h) => h,
+            Err(e) => return Some(Err(e)),
+        };
+        if body.len() < caplen {
+            return Some(Err(WireError::Truncated {
+                layer: "pcap",
+                needed: caplen,
+                got: body.len(),
+            }));
+        }
+        let (frame, rest) = body.split_at(caplen);
+        self.rest = rest;
+        Some(Ok((ts, frame)))
+    }
+}
+
 /// Parse a full capture held in memory into logical packets with
-/// timestamps, skipping frames that fail to parse (counted in `.1`).
+/// timestamps. Frames that fail to decode are skipped and counted in
+/// `.1`; so is a cut-short tail, after every complete record before it
+/// has been kept. Only a bad global header is an error.
 pub fn parse_capture(bytes: &[u8]) -> Result<(Vec<(u64, Packet)>, usize), WireError> {
-    let reader = PcapReader::new(bytes)?;
     let mut out = Vec::new();
     let mut skipped = 0usize;
-    for raw in reader.read_all()? {
-        match raw.parse() {
-            Ok(p) => out.push((raw.ts_micros, p)),
+    for rec in records(bytes)? {
+        match rec.and_then(|(ts, frame)| Ok((ts, PacketRef::decode_frame(frame)?.to_packet()))) {
+            Ok(p) => out.push(p),
             Err(_) => skipped += 1,
         }
     }
     Ok((out, skipped))
 }
 
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), WireError> {
+fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
     r.read_exact(buf).map_err(|_| WireError::Truncated {
         layer: "pcap",
         needed: buf.len(),
         got: 0,
-    })?;
-    let _ = what;
-    Ok(())
+    })
 }
 
 #[cfg(test)]

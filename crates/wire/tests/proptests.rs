@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use malnet_wire::dns::{DnsMessage, DomainName};
 use malnet_wire::icmp::IcmpMessage;
-use malnet_wire::packet::{Packet, Transport};
+use malnet_wire::packet::{Packet, PacketRef, Transport};
 use malnet_wire::pcap;
 use malnet_wire::tcp::TcpFlags;
 
@@ -144,8 +144,9 @@ proptest! {
     }
 
     /// Chaos-layer contract: a capture cut short mid-record (a sandbox
-    /// killed mid-write, a truncated artifact download) must parse or
-    /// error, never panic — and everything before the cut is kept.
+    /// killed mid-write, a truncated artifact download) keeps every
+    /// complete record before the cut and counts the cut-off tail as one
+    /// skipped record; only a cut inside the global header is an error.
     #[test]
     fn pcap_reader_tolerates_truncated_captures(
         pkts in proptest::collection::vec((any::<u32>().prop_map(u64::from), arb_packet()), 1..12),
@@ -153,10 +154,44 @@ proptest! {
     ) {
         let bytes = pcap::to_bytes(&pkts);
         let keep = cut.index(bytes.len());
-        if let Ok((parsed, _skipped)) = pcap::parse_capture(&bytes[..keep]) {
-            prop_assert!(parsed.len() <= pkts.len());
-            for (got, want) in parsed.iter().zip(pkts.iter()) {
-                prop_assert_eq!(got, want);
+        // Record boundaries: the end of the global header, then the end
+        // of every record.
+        let mut ends = vec![24usize];
+        for (_, p) in &pkts {
+            ends.push(ends[ends.len() - 1] + 16 + p.encode_frame().len());
+        }
+        match pcap::parse_capture(&bytes[..keep]) {
+            Err(_) => prop_assert!(keep < 24, "cut at {keep} lost the capture"),
+            Ok((parsed, skipped)) => {
+                prop_assert!(keep >= 24);
+                let complete = ends[1..].iter().filter(|&&e| e <= keep).count();
+                prop_assert_eq!(&parsed[..], &pkts[..complete]);
+                prop_assert_eq!(skipped, usize::from(!ends.contains(&keep)));
+            }
+        }
+    }
+
+    /// The borrowed decode and the owned one are the same decoder: on
+    /// garbage and on bit-flipped valid frames they accept and reject
+    /// alike (with the same error) and agree on every field.
+    #[test]
+    fn borrowed_and_owned_frame_decodes_agree(
+        p in arb_packet(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..120),
+        which in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let mut flipped = p.encode_frame();
+        let i = which.index(flipped.len());
+        flipped[i] ^= 1 << bit;
+        for bytes in [&p.encode_frame(), &garbage, &flipped] {
+            match (PacketRef::decode_frame(bytes), Packet::decode_frame(bytes)) {
+                (Ok(r), Ok(q)) => {
+                    prop_assert_eq!(r.to_packet(), q.clone());
+                    prop_assert_eq!(PacketRef::from(&q), r);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (r, q) => prop_assert!(false, "decoders disagree: {r:?} vs {q:?}"),
             }
         }
     }
